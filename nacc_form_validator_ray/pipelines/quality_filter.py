@@ -10,29 +10,43 @@ stack over Common-Crawl-style pages::
       → validate_dataset(WEB_QUALITY_RULES)   # the rule engine: per-doc
                                               #   error-code vector + keep bit
       → map_batches(Scrubber)                 # regex PII/toxicity scrub
-      → write_parquet(out/part=<i>/...)       # partitioned, resumable
+      → write_datasink(_PartitionSink)        # out/part=<i>/*.parquet,
+                                              #   partitioned, resumable
 
 The keep/drop thresholds ARE a rule schema (schema-as-data, exactly the
 reference's contract): every heuristic violation lands in the per-document
 ``errors`` vector with a stable code, ``passed`` is the keep bit, and the
 scrubbed text is byte-deterministic per url.
 
-Everything streams: no stage materializes the dataset; the only wide
-operation in the whole pipeline is the optional host-level metrics
-groupby, which pre-aggregates per batch before shuffling one row per
-(part, host).
+Everything streams: no stage materializes the dataset, and each
+partition of ``run_quality_filter`` is one Ray Data execution. Its
+manifest counts (rows, keeps, rule hits) come from the write pass
+itself: every write task counts its blocks before projecting them and
+returns a small partial that the driver merges — the output is never
+read back. The only wide operation in the module is the optional
+host-level metrics groupby, which pre-aggregates per batch before
+shuffling one row per (part, host).
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
-from typing import Any, Dict, List, Mapping, Optional
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+from ray.data.block import BlockAccessor
+from ray.data.datasource import BlockBasedFileDatasink
 
 from nacc_form_validator_ray.pipelines.webgen import extract_text
+from nacc_form_validator_ray.stages.partition import (grouped_agg_sum,
+                                                      pa_grouped_agg)
 from nacc_form_validator_ray.stages.scrub import Scrubber
 from nacc_form_validator_ray.stages.text_signals import (Fingerprint,
                                                          TextStats)
@@ -141,6 +155,77 @@ OUTPUT_COLUMNS = ["url", "warc_ts", "lang", "lang_pred", "scrubbed_text",
                   "errors"]
 
 
+class _PartitionSink(BlockBasedFileDatasink):
+    """Parquet sink that also yields the partition's manifest counts.
+
+    Each write task counts rows, keeps and rule hits on its blocks
+    BEFORE projecting them to ``columns`` (so any projection works) and
+    returns that partial; the driver merges one partial per write task
+    — at most (tasks × distinct (field, code)) entries, whatever the
+    row count — into ``metrics``.
+    """
+
+    def __init__(self, path: str, columns: List[str]):
+        super().__init__(path, file_format="parquet")
+        self.columns = list(columns)
+        self.metrics: Dict[str, Any] = {}
+
+    def write(self, blocks: Iterable, ctx) -> Dict[str, Any]:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        hits: Counter = Counter()
+        for t in tables:
+            h = rule_hit_partial(t).to_pydict()
+            hits.update({f"{f}:{c:#x}": n for f, c, n in
+                         zip(h["field"], h["code"], h["n_hits"])})
+        partial = {
+            "n_rows": sum(t.num_rows for t in tables),
+            "n_kept": sum(pc.sum(t["passed"]).as_py() or 0
+                          for t in tables if "passed" in t.column_names),
+            "rule_hits": hits,
+        }
+        super().write([t.select([c for c in self.columns
+                                 if c in t.column_names])
+                       for t in tables], ctx)
+        return partial
+
+    def write_block_to_file(self, block, file) -> None:
+        pq.write_table(block.to_arrow(), file)
+
+    def on_write_complete(self, write_result) -> None:
+        super().on_write_complete(write_result)
+        partials = write_result.write_returns
+        hits: Counter = Counter()
+        for partial in partials:
+            hits.update(partial["rule_hits"])
+        self.metrics = {"n_rows": sum(p["n_rows"] for p in partials),
+                        "n_kept": sum(p["n_kept"] for p in partials),
+                        "rule_hits": dict(hits)}
+
+
+_JSONL_SUFFIXES = (".jsonl", ".ndjson", ".jsonl.gz", ".ndjson.gz")
+
+#: non-blank JSONL lines read to find the input's columns
+_PROBE_LINES = 16
+
+
+def _jsonl_keys(files: List[str]) -> Tuple[set, List[str]]:
+    """Keys of the first ``_PROBE_LINES`` non-blank JSONL records, read
+    across files in order, and the files that were opened."""
+    keys: set = set()
+    seen = 0
+    for i, path in enumerate(files):
+        opener = gzip.open if path.endswith(".gz") else open
+        with opener(path, "rt") as f:
+            for line in f:
+                if not line.strip():
+                    continue
+                keys.update(json.loads(line))
+                seen += 1
+                if seen == _PROBE_LINES:
+                    return keys, files[:i + 1]
+    return keys, files
+
+
 def run_quality_filter(input_dir: str,
                        out_dir: str,
                        rules: Optional[Mapping[str, Any]] = None,
@@ -151,15 +236,20 @@ def run_quality_filter(input_dir: str,
                        clock: Optional[Clock] = None) -> Dict[str, Any]:
     """Resumable partitioned run over a directory of pages — parquet
     (preferred: column pruning + row-group pushdown) or JSONL
-    (Common-Crawl-dump style; columns are projected right after the
-    read since the row format cannot prune at the source).
+    (``.jsonl``/``.ndjson``, optionally gzipped; Common-Crawl-dump
+    style; columns are projected right after the read since the row
+    format cannot prune at the source).
 
     Partitions are groups of input FILES (stable across reruns); each
     completed partition gets a ``_lineage/part-<i>.json`` manifest with
-    row counts and rule-hit counters. ``resume=True`` skips completed
-    partitions and wipes half-written ones. Inputs WITHOUT an ``html``
-    column (pre-extracted text dumps) skip the extraction stage and
-    feed ``text`` straight into the signal/rule chain.
+    row counts and rule-hit counters. Each partition is ONE Ray Data
+    execution: the parquet sink counts every block before projecting it
+    to ``output_columns``, and the driver merges one small partial per
+    write task — no schema probe, no read-back of the output.
+    ``resume=True`` skips completed partitions and wipes half-written
+    ones. Inputs WITHOUT an ``html`` column (pre-extracted text dumps)
+    skip the extraction stage and feed ``text`` straight into the
+    signal/rule chain.
     """
     import ray.data as rd
 
@@ -170,7 +260,7 @@ def run_quality_filter(input_dir: str,
     if not files:
         files = sorted(
             os.path.join(input_dir, f) for f in os.listdir(input_dir)
-            if f.endswith((".jsonl", ".ndjson", ".json")))
+            if f.endswith(_JSONL_SUFFIXES))
         fmt = "json"
     if not files:
         raise FileNotFoundError(
@@ -188,12 +278,14 @@ def run_quality_filter(input_dir: str,
         # text FROM it, so a redundant stored `text` column (about half
         # the payload) never needs to leave storage
         if fmt == "parquet":
-            import pyarrow.parquet as pq_mod
-            present = set(pq_mod.read_schema(files[0]).names)
+            present = set(pq.read_schema(files[0]).names)
+            probed = files[:1]
         else:
-            with open(files[0]) as f:
-                first = f.readline()
-            present = set(json.loads(first)) if first.strip() else set()
+            present, probed = _jsonl_keys(files)
+        if not {"html", "text"} & present:
+            raise ValueError(
+                f"neither an 'html' nor a 'text' column in "
+                f"{', '.join(probed)}")
         input_columns = [c for c in ("url", "warc_ts", "html", "lang",
                                      "text") if c in present]
         if "html" in input_columns and "text" in input_columns:
@@ -204,36 +296,16 @@ def run_quality_filter(input_dir: str,
         if fmt == "parquet":
             ds = rd.read_parquet(frag_files, columns=input_columns)
         else:
-            ds = rd.read_json(frag_files) \
+            # suffixes were filtered above; Ray's default extension list
+            # lacks .ndjson, and it infers gzip from the path
+            ds = rd.read_json(frag_files, file_extensions=None) \
                 .select_columns(input_columns)
         ds = build_quality_pipeline(ds, rules=rules, clock=clock,
                                     extract=extract)
-        cols = output_columns or OUTPUT_COLUMNS
-        ds = ds.select_columns([c for c in cols
-                                if c in ds.schema().names])
-        pdir = lineage.partition_dir(out_dir, part)
-        ds.write_parquet(pdir)
-
-        # metrics from the written output: a column-pruned read-back with
-        # DISTRIBUTED aggregation — per-batch partials + one tiny grouped
-        # merge; the driver only ever sees one row per (field, code)
-        # (round-1 did this with a driver-side row loop)
-        from ray.data.aggregate import Sum
-        meta = rd.read_parquet(pdir, columns=["passed", "errors"])
-        counts = meta.map_batches(
-            lambda b: pd.DataFrame(
-                {"n_rows": [len(b)],
-                 "n_kept": [int(b["passed"].sum())]}),
-            batch_format="pandas").aggregate(
-                Sum("n_rows", alias_name="n_rows"),
-                Sum("n_kept", alias_name="n_kept"))
-        hit_rows = rule_hit_metrics(meta).to_pandas()
-        hits: Dict[str, int] = {
-            f"{r.field}:{int(r.code):#x}": int(r.n_hits)
-            for r in hit_rows.itertuples()}
-        lineage.write_manifest(out_dir, part, frag_files,
-                               int(counts["n_rows"] or 0),
-                               int(counts["n_kept"] or 0), hits)
+        sink = _PartitionSink(lineage.partition_dir(out_dir, part),
+                              output_columns or OUTPUT_COLUMNS)
+        ds.write_datasink(sink)
+        lineage.write_manifest(out_dir, part, frag_files, **sink.metrics)
     return lineage.aggregate_metrics(out_dir)
 
 
@@ -268,38 +340,37 @@ def host_metrics(ds, salt_buckets: int = 16):
     return merged
 
 
+_EMPTY_HITS = pa.schema([("field", pa.string()), ("code", pa.int64()),
+                         ("n_hits", pa.int64())])
+
+
+def rule_hit_partial(t: "pa.Table") -> "pa.Table":
+    """(field, code, n_hits) counts of one table's ``errors`` column.
+    The list<struct> column is flattened with ``pc.list_flatten`` +
+    struct field access — C kernels end-to-end, no Python loop over
+    rows (round-2 VERDICT finding)."""
+    if "errors" not in t.column_names or t.num_rows == 0:
+        return _EMPTY_HITS.empty_table()
+    col = t["errors"].combine_chunks()
+    if not pa.types.is_list(col.type) and \
+            not pa.types.is_large_list(col.type):
+        return _EMPTY_HITS.empty_table()
+    flat = pc.list_flatten(col)
+    if len(flat) == 0:
+        return _EMPTY_HITS.empty_table()
+    g = pa.table({
+        "field": flat.field("field"),
+        "code": pc.cast(flat.field("code"), pa.int64()),
+        "n_hits": np.ones(len(flat), dtype=np.int64),
+    })
+    return pa_grouped_agg(g, ["field", "code"],
+                          [("n_hits", "sum")], ["n_hits"])
+
+
 def rule_hit_metrics(ds, num_partitions: int = 8):
     """Distributed rule-hit counters from the ``errors`` column: one row
-    per (field, code) with its violation count. The list<struct> column
-    is flattened with ``pc.list_flatten`` + struct field access — C
-    kernels end-to-end, no Python loop over rows (round-2 VERDICT
-    finding); the exchange moves per-batch partials only."""
-    from nacc_form_validator_ray.stages.partition import (grouped_agg_sum,
-        pa_grouped_agg)
-
-    def partial(t):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-        empty = pa.table({"field": pa.array([], pa.string()),
-                          "code": pa.array([], pa.int64()),
-                          "n_hits": pa.array([], pa.int64())})
-        if "errors" not in t.column_names or t.num_rows == 0:
-            return empty
-        col = t["errors"].combine_chunks()
-        if not pa.types.is_list(col.type) and \
-                not pa.types.is_large_list(col.type):
-            return empty
-        flat = pc.list_flatten(col)
-        if len(flat) == 0:
-            return empty
-        g = pa.table({
-            "field": flat.field("field"),
-            "code": pc.cast(flat.field("code"), pa.int64()),
-            "n_hits": np.ones(len(flat), dtype=np.int64),
-        })
-        return pa_grouped_agg(g, ["field", "code"],
-                              [("n_hits", "sum")], ["n_hits"])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    per (field, code) with its violation count; the exchange moves
+    per-batch ``rule_hit_partial`` tables only."""
+    partials = ds.map_batches(rule_hit_partial, batch_format="pyarrow")
     return grouped_agg_sum(partials, ["field", "code"], ["n_hits"],
                            num_partitions=num_partitions)

@@ -202,10 +202,12 @@ class RecordValidator:
 
         ``"" -> None``; cast failures keep the original value (which then
         fails the type check); missing schema fields are injected as None
-        (nacc_validator.py:207-257).
+        (nacc_validator.py:207-257). Only ``str`` values are compared with
+        ``""``: a record may carry array-valued columns (the local stage's
+        ``errors``), whose ``==`` is elementwise.
         """
         for key, value in record.items():
-            if value == "":
+            if isinstance(value, str) and value == "":
                 record[key] = None
                 continue
             if value is None:

@@ -422,3 +422,216 @@ def test_run_quality_filter_jsonl_input(tmp_path):
     assert m2["n_rows"] == 4
     assert lineage.read_manifests(str(out))[0]["completed_at"] \
         == first_kept
+
+
+def _write_fragments(src, df, n_files):
+    """Split ``df`` into ``n_files`` parquet fragments under ``src``."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    src.mkdir()
+    step = -(-len(df) // n_files)
+    for i in range(n_files):
+        pq.write_table(
+            pa.Table.from_pandas(df.iloc[i * step:(i + 1) * step],
+                                 preserve_index=False),
+            src / f"frag{i}.parquet")
+
+
+def _recount(pdir):
+    """n_rows, n_kept and rule_hits of a written partition, recounted
+    with pyarrow from its parquet files."""
+    import glob
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    files = sorted(glob.glob(os.path.join(pdir, "*.parquet")))
+    t = pa.concat_tables(pq.read_table(f, columns=["passed", "errors"])
+                         for f in files)
+    flat = pc.list_flatten(t["errors"]).to_pylist()
+    hits = {}
+    for e in flat:
+        key = f"{e['field']}:{e['code']:#x}"
+        hits[key] = hits.get(key, 0) + 1
+    return t.num_rows, pc.sum(t["passed"]).as_py() or 0, hits
+
+
+@pytest.mark.parametrize("files_per_partition", [1, 2])
+def test_run_quality_filter_manifests_match_output(tmp_path,
+                                                   files_per_partition):
+    """Each manifest's counts equal a recount of its partition's files."""
+    src = tmp_path / "pages"
+    _write_fragments(src, generate_pages(300, seed=17).to_pandas(), 3)
+    out = str(tmp_path / "out")
+    run_quality_filter(str(src), out,
+                       files_per_partition=files_per_partition,
+                       clock=Clock.frozen_now())
+    manifests = lineage.read_manifests(out)
+    assert len(manifests) == -(-3 // files_per_partition)
+    assert sum(m["n_rows"] for m in manifests) == 300
+    for m in manifests:
+        n_rows, n_kept, hits = _recount(
+            lineage.partition_dir(out, m["part"]))
+        assert (m["n_rows"], m["n_kept"], m["rule_hits"]) == \
+            (n_rows, n_kept, hits)
+
+
+def test_run_quality_filter_manifests_pinned(tmp_path):
+    """The resume test's 200-page fixture gives these manifests (counts
+    recorded from the read-back implementation the write-pass counts
+    replaced)."""
+    src = tmp_path / "pages"
+    _write_fragments(src, generate_pages(200, seed=9).to_pandas(), 2)
+    out = str(tmp_path / "out")
+    run_quality_filter(str(src), out, clock=Clock.frozen_now())
+    got = [{k: v for k, v in m.items() if k != "completed_at"}
+           for m in lineage.read_manifests(out)]
+    assert got == [
+        {"part": 0, "input_fragments": [str(src / "frag0.parquet")],
+         "n_rows": 100, "n_kept": 72,
+         "rule_hits": {"lang_pred:0x44": 1, "n_words:0x42": 12,
+                       "n_words:0x43": 6, "rep_3gram_ratio:0x43": 2,
+                       "stop_ratio:0x42": 1, "symbol_ratio:0x43": 8}},
+        {"part": 1, "input_fragments": [str(src / "frag1.parquet")],
+         "n_rows": 100, "n_kept": 68,
+         "rule_hits": {"lang_pred:0x44": 2, "n_words:0x42": 7,
+                       "n_words:0x43": 6, "rep_3gram_ratio:0x43": 8,
+                       "stop_ratio:0x42": 2, "symbol_ratio:0x43": 11}},
+    ]
+
+
+def test_run_quality_filter_projection_without_result_columns(tmp_path):
+    """Output columns that leave out ``passed``/``errors`` still give
+    full manifest counts: they are taken before the projection."""
+    import pyarrow.parquet as pq
+    src = tmp_path / "pages"
+    _write_fragments(src, generate_pages(200, seed=9).to_pandas(), 2)
+    full = str(tmp_path / "full")
+    slim = str(tmp_path / "slim")
+    run_quality_filter(str(src), full, clock=Clock.frozen_now())
+    m = run_quality_filter(str(src), slim, clock=Clock.frozen_now(),
+                           output_columns=["url", "scrubbed_text"])
+    assert m["n_rows"] == 200 and m["n_kept"] == 140
+    strip = [{k: v for k, v in x.items() if k != "completed_at"}
+             for x in lineage.read_manifests(slim)]
+    assert strip == [{k: v for k, v in x.items() if k != "completed_at"}
+                     for x in lineage.read_manifests(full)]
+    t = pq.read_table(lineage.partition_dir(slim, 0))
+    assert t.column_names == ["url", "scrubbed_text"]
+    assert t.num_rows == 100
+
+
+def test_run_quality_filter_zero_row_input(tmp_path):
+    """A zero-row input file completes with an ``n_rows == 0``
+    manifest; the other partition is unaffected."""
+    src = tmp_path / "pages"
+    df = generate_pages(100, seed=9).to_pandas()
+    _write_fragments(src, df, 1)
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    pq.write_table(pa.Table.from_pandas(df.iloc[:0], preserve_index=False),
+                   src / "frag1.parquet")
+    out = str(tmp_path / "out")
+    m = run_quality_filter(str(src), out, clock=Clock.frozen_now())
+    assert m["n_parts"] == 2 and m["n_rows"] == 100
+    empty = lineage.read_manifests(out)[1]
+    assert (empty["n_rows"], empty["n_kept"], empty["rule_hits"]) == \
+        (0, 0, {})
+
+
+def test_run_quality_filter_single_pass(tmp_path, monkeypatch):
+    """Each partition is one execution: no schema probe, and nothing
+    under the output directory is ever read back."""
+    import ray.data
+
+    src = tmp_path / "pages"
+    _write_fragments(src, generate_pages(200, seed=9).to_pandas(), 2)
+    out = tmp_path / "out"
+
+    def no_schema(self, *a, **k):
+        raise AssertionError("Dataset.schema() called")
+
+    read = ray.data.read_parquet
+    paths = []
+
+    def recording_read(p, *a, **k):
+        paths.extend([p] if isinstance(p, str) else list(p))
+        return read(p, *a, **k)
+
+    monkeypatch.setattr(ray.data.Dataset, "schema", no_schema)
+    monkeypatch.setattr(ray.data, "read_parquet", recording_read)
+    m = run_quality_filter(str(src), str(out), clock=Clock.frozen_now())
+    assert m["n_rows"] == 200 and m["n_parts"] == 2
+    assert paths
+    assert not [p for p in paths
+                if os.path.abspath(p).startswith(str(out))]
+
+
+_GOOD_TEXT = ("the quick brown fox jumps over the lazy dog and then "
+              "walks through the quiet forest looking for food water "
+              "shelter and friends while the sun sets slowly over the "
+              "green hills beyond the river where many small animals "
+              "gather every evening to drink before night falls and "
+              "the owls begin their patient watch from the old trees "
+              "near the stone bridge that farmers built long ago")
+
+
+def _jsonl_lines(i):
+    return [json.dumps({"url": f"http://a.example/{i}",
+                        "text": _GOOD_TEXT}),
+            json.dumps({"url": f"http://b.example/{i}",
+                        "text": "too short"})]
+
+
+def test_run_quality_filter_jsonl_blank_first_line(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "pages-0.jsonl").write_text(
+        "\n  \n" + "\n".join(_jsonl_lines(0)) + "\n")
+    m = run_quality_filter(str(src), str(tmp_path / "out"))
+    assert (m["n_rows"], m["n_kept"]) == (2, 1)
+
+
+def test_run_quality_filter_jsonl_gzip_kill_and_resume(tmp_path,
+                                                       monkeypatch):
+    """Gzipped dumps (.jsonl.gz / .ndjson.gz) run and resume: a run
+    killed after writing partition 1's data but before its manifest
+    reruns only that partition."""
+    import gzip
+
+    src = tmp_path / "in"
+    src.mkdir()
+    for i, suffix in enumerate([".jsonl.gz", ".ndjson.gz"]):
+        with gzip.open(src / f"pages-{i}{suffix}", "wt") as f:
+            f.write("\n".join(_jsonl_lines(i)) + "\n")
+    out = str(tmp_path / "out")
+
+    write_manifest = lineage.write_manifest
+
+    def killed_at_part_1(out_dir, part, *a, **k):
+        if part == 1:
+            raise KeyboardInterrupt("killed")
+        return write_manifest(out_dir, part, *a, **k)
+
+    monkeypatch.setattr(lineage, "write_manifest", killed_at_part_1)
+    with pytest.raises(KeyboardInterrupt):
+        run_quality_filter(str(src), out)
+    assert lineage.completed_parts(out) == [0]
+    assert os.path.isdir(lineage.partition_dir(out, 1))
+    first = lineage.read_manifests(out)[0]["completed_at"]
+
+    monkeypatch.setattr(lineage, "write_manifest", write_manifest)
+    m = run_quality_filter(str(src), out)
+    assert (m["n_parts"], m["n_rows"], m["n_kept"]) == (2, 4, 2)
+    assert lineage.read_manifests(out)[0]["completed_at"] == first
+    for part in (0, 1):
+        assert _recount(lineage.partition_dir(out, part))[:2] == (2, 1)
+
+
+def test_run_quality_filter_jsonl_without_text_columns(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "pages-0.jsonl").write_text(
+        json.dumps({"url": "http://a.example/0", "body": "x"}) + "\n")
+    with pytest.raises(ValueError, match="pages-0.jsonl"):
+        run_quality_filter(str(src), str(tmp_path / "out"))

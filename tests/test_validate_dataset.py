@@ -267,3 +267,39 @@ def test_validate_dataset_actor_pool_path():
                            strict=False, concurrency=2).to_pandas()
     assert (out["passed"] == ((df["qty"] >= 0) &
                               (df["qty"] <= 100))).all()
+
+
+def test_temporal_row_path_with_several_local_errors(tmp_path):
+    """A record with two or more local errors reaches the temporal row
+    path with an array-valued ``errors`` column; casting that record
+    must not compare the array with ``""`` (examples/visit_rules.json
+    always takes the row path: ``taxes`` has ``allowed`` next to its
+    ``temporalrules``)."""
+    import json
+    import os
+
+    from nacc_form_validator_ray.errors import Codes
+    from nacc_form_validator_ray.sources.readers import read_any
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "examples", "visit_rules.json")) as f:
+        schema = json.load(f)
+    path = tmp_path / "visits.csv"
+    path.write_text("patient_id,visit_num,frmdate,birthyr,taxes,"
+                    "rmreason,mode\n"
+                    "A,1,01/02/2020,1800,0,1,9\n"
+                    "A,2,01/03/2021,1950,8,2,\n")
+    out = validate_dataset(read_any(str(path)), schema,
+                           pk_field="patient_id", orderby="visit_num") \
+        .to_pandas().sort_values("visit_num").reset_index(drop=True)
+    assert out["visit_num"].tolist() == [1, 2]
+    assert out["passed"].tolist() == [False, False]
+    assert not out["sys_failure"].any()
+    codes = [sorted((e["field"], e["code"]) for e in errs)
+             for errs in out["errors"]]
+    assert codes == [
+        [("birthyr", Codes.MIN_VALUE), ("mode", Codes.UNALLOWED_VALUE),
+         ("taxes", Codes.NO_PREV_VISIT)],
+        [("taxes", Codes.TEMPORAL)],
+    ]
+    assert out["n_errors"].tolist() == [3, 1]
