@@ -4723,7 +4723,7 @@ def q_dedup_funnel_report(sf_dir: str,
     exact_keep = stage_checkpoint(
         lambda: grouped_apply(fp, ["fingerprint_md5"], keep_min,
                               num_partitions=16),
-        ckpt_dir, "exact_keep")
+        ckpt_dir, "exact_keep", sf_dir)
     if ckpt_dir is None:
         exact_keep = exact_keep.materialize()
 
@@ -4732,7 +4732,7 @@ def q_dedup_funnel_report(sf_dir: str,
         ids = docs.select_columns(["doc_id"])
         return propagate_labels(pairs, ids)
 
-    labels = stage_checkpoint(build_labels, ckpt_dir, "labels")
+    labels = stage_checkpoint(build_labels, ckpt_dir, "labels", sf_dir)
 
     def near_tag(t: "pa.Table") -> "pa.Table":
         import pyarrow.compute as pc

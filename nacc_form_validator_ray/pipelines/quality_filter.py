@@ -34,15 +34,13 @@ import gzip
 import json
 import os
 from collections import Counter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-from ray.data.block import BlockAccessor
-from ray.data.datasource import BlockBasedFileDatasink
 
 from nacc_form_validator_ray.pipelines.webgen import extract_text
 from nacc_form_validator_ray.stages.partition import (grouped_agg_sum,
@@ -155,50 +153,35 @@ OUTPUT_COLUMNS = ["url", "warc_ts", "lang", "lang_pred", "scrubbed_text",
                   "errors"]
 
 
-class _PartitionSink(BlockBasedFileDatasink):
+class _PartitionSink(lineage.StageSink):
     """Parquet sink that also yields the partition's manifest counts.
 
-    Each write task counts rows, keeps and rule hits on its blocks
-    BEFORE projecting them to ``columns`` (so any projection works) and
+    Each write task counts keeps and rule hits on its blocks BEFORE
+    they are projected to ``columns`` (so any projection works) and
     returns that partial; the driver merges one partial per write task
     — at most (tasks × distinct (field, code)) entries, whatever the
     row count — into ``metrics``.
     """
 
-    def __init__(self, path: str, columns: List[str]):
-        super().__init__(path, file_format="parquet")
-        self.columns = list(columns)
-        self.metrics: Dict[str, Any] = {}
-
-    def write(self, blocks: Iterable, ctx) -> Dict[str, Any]:
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    def partial(self, tables: List[pa.Table]) -> Dict[str, Any]:
         hits: Counter = Counter()
         for t in tables:
             h = rule_hit_partial(t).to_pydict()
             hits.update({f"{f}:{c:#x}": n for f, c, n in
                          zip(h["field"], h["code"], h["n_hits"])})
-        partial = {
-            "n_rows": sum(t.num_rows for t in tables),
+        return {
             "n_kept": sum(pc.sum(t["passed"]).as_py() or 0
                           for t in tables if "passed" in t.column_names),
             "rule_hits": hits,
         }
-        super().write([t.select([c for c in self.columns
-                                 if c in t.column_names])
-                       for t in tables], ctx)
-        return partial
-
-    def write_block_to_file(self, block, file) -> None:
-        pq.write_table(block.to_arrow(), file)
 
     def on_write_complete(self, write_result) -> None:
         super().on_write_complete(write_result)
-        partials = write_result.write_returns
         hits: Counter = Counter()
-        for partial in partials:
+        for partial in self.partials:
             hits.update(partial["rule_hits"])
-        self.metrics = {"n_rows": sum(p["n_rows"] for p in partials),
-                        "n_kept": sum(p["n_kept"] for p in partials),
+        self.metrics = {"n_rows": self.num_rows,
+                        "n_kept": sum(p["n_kept"] for p in self.partials),
                         "rule_hits": dict(hits)}
 
 

@@ -5824,7 +5824,8 @@ def q_semdedup_corpus(sf_dir: str, ckpt_dir: str | None = None):
                 {"doc_id": t["vec_id"], "kept": t["kept"]}),
             batch_format="pyarrow")
 
-    verdicts = stage_checkpoint(build_verdicts, ckpt_dir, "verdicts")
+    verdicts = stage_checkpoint(build_verdicts, ckpt_dir, "verdicts",
+                                sf_dir)
 
     def doc_lean(t: "pa.Table") -> "pa.Table":
         from nacc_form_validator_ray.stages.text_signals import \

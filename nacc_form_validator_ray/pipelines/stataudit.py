@@ -1002,11 +1002,11 @@ def q_keep_rate_by_ppl_decile(sf_dir: str,
     ppl = stage_checkpoint(
         lambda: _Q.q_bigram_perplexity_docs(sf_dir)
         .select_columns(["doc_id", "log_ppl"]),
-        ckpt_dir, "ppl")
+        ckpt_dir, "ppl", sf_dir)
     keep = stage_checkpoint(
         lambda: _Q.q_quality_filter(sf_dir)
         .select_columns(["doc_id", "passed"]),
-        ckpt_dir, "keep")
+        ckpt_dir, "keep", sf_dir)
     joined = hash_join(ppl, keep, on="doc_id", num_partitions=16)
     ranked = global_rank(joined, "log_ppl", tie_cols=["doc_id"],
                          num_partitions=16, ntile=10,

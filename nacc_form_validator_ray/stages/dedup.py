@@ -440,8 +440,9 @@ def minhash_candidate_pairs(ds, id_column: str = "doc_id",
                          num_partitions=8, fn_format="pyarrow")
 
 
-#: max banned-id count to ship via ray.put under drop_via="auto"
-#: (8 B/id -> ~64 MB per worker heap)
+#: max banned-id count that ``drop_banned(via="auto")`` ships to every
+#: worker via ray.put (8 B/id -> ~64 MB per worker heap); beyond this
+#: the drop goes through the Bloom-prefiltered anti-join exchange
 BROADCAST_ID_LIMIT = 8_000_000
 
 
@@ -482,53 +483,53 @@ def reclaim_pin_dirs() -> int:
     return n
 
 
-def exact_dedup(ds, id_column: str = "doc_id", text_column: str = "text",
-                normalize: bool = True, num_partitions: int = 32,
-                drop_via: str = "auto", pin: str = "parquet",
-                pin_dir: str | None = None):
-    """Exact dedup, payload-disciplined: the keep/drop DECISION exchanges
-    only (id, content-hash) rows; the full documents are then filtered in
-    place — via a broadcast banned-id set (small dup lists) or a
-    distributed anti_join (``drop_via="exchange"``) when the list itself
-    scales with the corpus. ``drop_via="auto"`` (default) counts the
-    banned set and picks: broadcast under ``BROADCAST_ID_LIMIT``,
-    exchange above. Returns the Dataset with non-representative
-    duplicates removed (the min-``id_column`` row of each content hash
-    survives).
-
-    ``pin`` controls how the text-bearing input (consumed by BOTH the
-    decision pass and the final drop pass) is kept re-readable:
+def pin_dataset(ds, pin: str = "parquet", pin_dir: str | None = None):
+    """Keep ``ds`` re-readable for several consumers without re-running
+    its upstream once per consumer.
 
     * ``"parquet"`` (default) — spill once to parquet under ``pin_dir``
-      (or a fresh /tmp dir) and stream every pass from disk. At 100-TB
-      scale this is the only shape that cannot destabilize the object
-      store (round-2 VERDICT: the old ``materialize()`` default pinned
-      the full corpus in memory/spill).
+      (or a fresh /tmp dir, see :func:`reclaim_pin_dirs`) and stream
+      every pass from disk. At 100-TB scale this is the only shape that
+      cannot destabilize the object store. A ``pin_dir`` that already
+      holds files raises ``ValueError``: the spill would append to them,
+      and a caller-owned directory is never deleted here.
     * ``"memory"`` — explicit opt-in to ``materialize()`` (fastest for
       corpora that comfortably fit the aggregate object store).
-    * ``"none"`` — use ``ds`` as-is; caller guarantees it is cheap to
-      re-execute (e.g. already a bare ``read_parquet``).
+    * ``"none"`` — use ``ds`` as-is; the caller guarantees it is cheap
+      to re-execute (e.g. already a bare ``read_parquet``).
     """
-    import hashlib
-    import ray
-    from nacc_form_validator_ray.stages.partition import grouped_apply
-
     if pin == "parquet":
-        import ray.data as rd
-        d = pin_dir or _auto_pin_dir()
-        ds.write_parquet(d)
-        ds = rd.read_parquet(d)
-    elif pin == "memory":
-        ds = ds.materialize()
-    elif pin != "none":
-        raise ValueError(f"unknown pin mode: {pin!r}")
+        import os
 
-    # the decision projection carries the 128-bit md5 as TWO int64
-    # columns: the exchange moves 24 B/row of fixed-width buffers instead
-    # of 32-char hex strings (no object boxing on any hop); grouping by
-    # (h1, h2) is grouping by the digest. Arrow in, Arrow out: the text
-    # column rides zero-copy and the digests read the packed utf-8
-    # buffer in place (md5_int64_pairs)
+        import ray.data as rd
+        from nacc_form_validator_ray.state.lineage import StageSink
+        if pin_dir is not None and os.path.isdir(pin_dir) \
+                and os.listdir(pin_dir):
+            raise ValueError(f"pin_dir {pin_dir} is not empty")
+        d = pin_dir or _auto_pin_dir()
+        ds.write_datasink(StageSink(d))
+        return rd.read_parquet(d)
+    if pin == "memory":
+        return ds.materialize()
+    if pin != "none":
+        raise ValueError(f"unknown pin mode: {pin!r}")
+    return ds
+
+
+def exact_dup_ids(ds, id_column: str = "doc_id", text_column: str = "text",
+                  normalize: bool = True, num_partitions: int = 32):
+    """The exact-dup DECISION: a Dataset of the ``id_column`` values
+    that are not the minimum id of their content hash (the drops).
+
+    The exchange carries only (id, md5 as two int64 columns) rows —
+    24 B/row of fixed-width buffers, no hex strings, no text; grouping
+    by (h1, h2) is grouping by the digest. The digests read the packed
+    utf-8 buffer in place (``md5_int64_pairs``), after whitespace/case
+    normalization unless ``normalize=False``.
+    """
+    from nacc_form_validator_ray.stages.partition import (grouped_apply,
+                                                          run_boundaries)
+
     def project(batch):
         import pyarrow.compute as pc
         text = pc.fill_null(batch[text_column].combine_chunks(), "")
@@ -542,8 +543,6 @@ def exact_dedup(ds, id_column: str = "doc_id", text_column: str = "text",
         }
 
     def drops(part):
-        from nacc_form_validator_ray.stages.partition import \
-            run_boundaries
         ids = part[id_column].to_numpy(zero_copy_only=False)
         h1 = part["__h1"].to_numpy(zero_copy_only=False)
         h2 = part["__h2"].to_numpy(zero_copy_only=False)
@@ -555,45 +554,77 @@ def exact_dedup(ds, id_column: str = "doc_id", text_column: str = "text",
         run_min = np.minimum.reduceat(sids, starts)
         return {id_column: sids[sids != np.repeat(run_min, counts)]}
 
-    banned = grouped_apply(ds.map_batches(project, batch_format="pyarrow"),
-                           ["__h1", "__h2"], drops,
-                           num_partitions=num_partitions,
-                           fn_format="pyarrow")
+    return grouped_apply(ds.map_batches(project, batch_format="pyarrow"),
+                         ["__h1", "__h2"], drops,
+                         num_partitions=num_partitions,
+                         fn_format="pyarrow")
 
-    if drop_via == "auto":
-        # the banned list is LEAN (ids only) — materializing it is
-        # bounded by the dup count, not the corpus
+
+def drop_banned(ds, banned, on: str, via: str = "auto"):
+    """``ds`` without the rows whose ``on`` value appears in ``banned``
+    (a lean Dataset with an ``on`` column; int or string ids).
+
+    * ``"broadcast"`` — the distinct banned ids go to the workers once
+      via ray.put; each Arrow batch is filtered in place
+      (``pc.is_in``), no payload shuffle.
+    * ``"exchange"`` — Bloom-prefiltered distributed anti-join
+      (stages/bloom.anti_join_bloom) for ban lists too large to ship to
+      every worker: definite non-duplicates never ride the exchange.
+      ``ds`` is read twice, so hand it a re-readable source.
+    * ``"auto"`` (default) — materialize the lean ban list, count it,
+      and broadcast up to ``BROADCAST_ID_LIMIT`` ids, else exchange.
+    """
+    import ray
+
+    if via == "auto":
         banned = banned.materialize()
-        drop_via = "broadcast" if banned.count() <= BROADCAST_ID_LIMIT \
+        via = "broadcast" if banned.count() <= BROADCAST_ID_LIMIT \
             else "exchange"
-
-    if drop_via == "exchange":
-        # bloom-prefiltered: definite non-duplicates never ride the
-        # exchange; only bloom hits go through the exact anti-join
-        # (ds is pinned/re-readable above, so the two passes don't
-        # recompute an expensive upstream)
+    if via == "exchange":
         from nacc_form_validator_ray.stages.bloom import anti_join_bloom
-        return anti_join_bloom(ds, banned, on=id_column)
+        return anti_join_bloom(ds, banned, on=on)
+    if via != "broadcast":
+        raise ValueError(f"unknown drop mode: {via!r}")
 
-    banned_ids = [b[id_column].to_numpy()
-                  for b in banned.iter_batches(batch_size=65536,
-                                               batch_format="pandas")]
-    banned_arr = np.unique(np.concatenate(banned_ids)) if banned_ids \
-        else np.empty(0, dtype=np.int64)
-    ref = ray.put(banned_arr)
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    chunks = [c for t in banned.iter_batches(batch_size=65536,
+                                             batch_format="pyarrow")
+              for c in t[on].chunks]
+    if not any(len(c) for c in chunks):
+        return ds
+    ref = ray.put(pc.unique(pa.chunked_array(chunks)))
 
-    class DropBanned:
-        def __init__(self, ref):
-            self.ref = ref
-            self.ids = None
+    def drop(batch):
+        col = batch[on]
+        ids = ray.get(ref)
+        if ids.type != col.type:
+            ids = ids.cast(col.type)
+        return batch.filter(pc.invert(pc.is_in(col, value_set=ids)))
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            if self.ids is None:
-                self.ids = ray.get(self.ref)
-            keep = ~np.isin(batch[id_column].to_numpy(), self.ids)
-            return batch[keep]
+    return ds.map_batches(drop, batch_format="pyarrow")
 
-    return ds.map_batches(DropBanned(ref), batch_format="pandas")
+
+def exact_dedup(ds, id_column: str = "doc_id", text_column: str = "text",
+                normalize: bool = True, num_partitions: int = 32,
+                drop_via: str = "auto", pin: str = "parquet",
+                pin_dir: str | None = None):
+    """Exact dedup, payload-disciplined: the keep/drop decision
+    (:func:`exact_dup_ids`) exchanges only (id, content-hash) rows; the
+    full documents are then filtered in place by :func:`drop_banned`
+    (``drop_via``: broadcast, exchange, or ``"auto"`` by the ban list's
+    size). Returns the Dataset with non-representative duplicates
+    removed (the min-``id_column`` row of each content hash survives).
+
+    The text-bearing input is consumed by both the decision and the
+    drop, so it is first held by :func:`pin_dataset` (``pin``,
+    ``pin_dir``).
+    """
+    ds = pin_dataset(ds, pin, pin_dir)
+    banned = exact_dup_ids(ds, id_column, text_column,
+                           normalize=normalize,
+                           num_partitions=num_partitions)
+    return drop_banned(ds, banned, on=id_column, via=drop_via)
 
 
 class SimHasher:

@@ -79,7 +79,8 @@ def test_query_matches_duckdb(name, duck):
     pd.testing.assert_frame_equal(ray_df, sql_df, check_dtype=False)
 
 
-FLAGSHIP = ["quality_filter_pages", "pretrain_prefix_pages"]
+FLAGSHIP = ["quality_filter_pages", "pretrain_prefix_pages",
+            "pretrain_pages"]
 
 
 @pytest.mark.parametrize("name", FLAGSHIP)

@@ -379,7 +379,7 @@ def test_report_tier_checkpoint_resume(tmp_path, monkeypatch):
     stage_checkpoint(
         lambda: Q.q_bigram_perplexity_docs(sf)
         .select_columns(["doc_id", "log_ppl"]),
-        ck2, "ppl")
+        ck2, "ppl", sf)
     monkeypatch.setattr(Q, "q_bigram_perplexity_docs", boom)
     partial = SA.q_keep_rate_by_ppl_decile(sf, ckpt_dir=ck2)
     pd.testing.assert_frame_equal(partial, base)
