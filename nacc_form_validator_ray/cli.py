@@ -236,7 +236,7 @@ def main(argv=None) -> int:
     q = sub.add_parser("quality-filter",
                        help="resumable web-text quality filter")
     q.add_argument("-i", "--input", required=True,
-                   help="directory of page parquet files")
+                   help="directory of parquet or JSONL page files")
     q.add_argument("-o", "--output", required=True)
     q.add_argument("-r", "--rules", default=None)
     q.add_argument("--no-resume", action="store_true")
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("pretrain",
                        help="quality filter + scrub + exact/near dedup")
     p.add_argument("-i", "--input", required=True,
-                   help="directory of page parquet files")
+                   help="directory of parquet or JSONL page files")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("-r", "--rules", default=None)
     p.add_argument("--num-cpus", type=int, default=None)

@@ -962,6 +962,11 @@ def q_minhash_estimate_error(sf_dir: str) -> pd.DataFrame:
     sig_mat = np.stack(inv["minhash"].to_numpy()[order]) \
         .astype(np.int64) if len(inv) else \
         np.empty((0, _MH_K), np.int64)
+    # the gather below reads a neighbour's row for an absent id
+    missing = np.setdiff1d(ids, sig_ids)
+    if len(missing):
+        raise ValueError(f"verified pair ids not in documents: "
+                         f"{missing[:20].tolist()}")
     pos_a = np.searchsorted(sig_ids, ver["id_a"].to_numpy(np.int64))
     pos_b = np.searchsorted(sig_ids, ver["id_b"].to_numpy(np.int64))
     n_match = (sig_mat[pos_a] == sig_mat[pos_b]).sum(axis=1) \
@@ -4714,16 +4719,18 @@ def q_dedup_funnel_report(sf_dir: str,
             .min()
         return out[["doc_id"]]
 
-    from nacc_form_validator_ray.state.lineage import stage_checkpoint
+    from nacc_form_validator_ray.state.lineage import (input_key,
+                                                       stage_checkpoint)
 
     # with ckpt_dir set, the two expensive dedup decisions (exact keep
     # set, near-dup labels) checkpoint to parquet and a rerun resumes
     # from the last completed stage (round-4 VERDICT item 9); the lean
     # exact keep set is materialized either way (two consumers below)
+    key = input_key(sf_dir) if ckpt_dir else None
     exact_keep = stage_checkpoint(
         lambda: grouped_apply(fp, ["fingerprint_md5"], keep_min,
                               num_partitions=16),
-        ckpt_dir, "exact_keep", sf_dir)
+        ckpt_dir, "exact_keep", key)
     if ckpt_dir is None:
         exact_keep = exact_keep.materialize()
 
@@ -4732,7 +4739,7 @@ def q_dedup_funnel_report(sf_dir: str,
         ids = docs.select_columns(["doc_id"])
         return propagate_labels(pairs, ids)
 
-    labels = stage_checkpoint(build_labels, ckpt_dir, "labels", sf_dir)
+    labels = stage_checkpoint(build_labels, ckpt_dir, "labels", key)
 
     def near_tag(t: "pa.Table") -> "pa.Table":
         import pyarrow.compute as pc

@@ -25,8 +25,6 @@ definite non-duplicates never ride the exchange.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import shutil
 from typing import Any, Dict, Mapping, Optional
@@ -34,12 +32,14 @@ from typing import Any, Dict, Mapping, Optional
 import numpy as np
 
 from nacc_form_validator_ray.pipelines.quality_filter import (
-    WEB_QUALITY_RULES, build_quality_pipeline)
+    WEB_QUALITY_RULES, build_quality_pipeline, page_columns)
+from nacc_form_validator_ray.sources import readers
 from nacc_form_validator_ray.stages.dedup import (drop_banned,
                                                   exact_dup_ids,
                                                   minhash_candidate_pairs,
                                                   pin_dataset)
-from nacc_form_validator_ray.state.lineage import (stage_checkpoint,
+from nacc_form_validator_ray.state.lineage import (input_key,
+                                                   stage_checkpoint,
                                                    stage_rows)
 from nacc_form_validator_ray.utils import Clock
 
@@ -146,54 +146,36 @@ def build_pretrain_pipeline(pages_ds,
     return _compose(pages_ds, rules, clock, extract, keep)
 
 
-def _input_key(input_dir: str, rules: Mapping[str, Any],
-               clock: Clock) -> str:
-    """Identity of a run's inputs: every input file's relative path,
-    size and mtime, the rule schema, and the clock's date (rules read
-    the clock only through ``today()``)."""
-    paths = [input_dir] if os.path.isfile(input_dir) else [
-        os.path.join(root, n)
-        for root, _, names in os.walk(input_dir) for n in names]
-    files = []
-    for path in sorted(paths):
-        st = os.stat(path)
-        files.append((os.path.relpath(path, input_dir), st.st_size,
-                      st.st_mtime_ns))
-    ident = json.dumps([files, rules, clock.today().isoformat()],
-                       sort_keys=True, default=str)
-    return hashlib.sha256(ident.encode()).hexdigest()
-
-
 def run_pretrain(input_dir: str, out_dir: str,
                  rules: Optional[Mapping[str, Any]] = None,
                  clock: Optional[Clock] = None,
                  resume: bool = True) -> Dict[str, Any]:
-    """Read pages parquet, clean + dedup, write partitioned parquet.
+    """Read parquet or JSONL page files, clean + dedup, write parquet.
 
-    Each stage of the composition — cleaned docs, banned ids, final
-    docs — is written under ``out_dir`` (``01_clean/``, ``02_banned/``,
-    ``03_docs/``) by ``state/lineage.stage_checkpoint``, with a
-    ``_DONE`` marker that holds the run's input key (input files, rule
-    schema, the clock's date) and the stage's row count. A rerun with
+    The input is read as ``run_quality_filter`` reads it; text dumps
+    skip the extraction stage. Each stage of the composition — cleaned
+    docs, banned ids, final docs — is written under ``out_dir``
+    (``01_clean/``, ``02_banned/``, ``03_docs/``) by
+    ``state/lineage.stage_checkpoint``, with a ``_DONE`` marker that
+    holds the run's ``lineage.input_key`` (input files, rule schema,
+    the clock's date) and the stage's row count. A rerun with
     ``resume=True`` reuses every stage whose marker matches and
-    rebuilds the rest; ``resume=False`` rebuilds all three. The dedup
-    decisions are global, so the composition checkpoints per STAGE
-    while the quality filter itself can additionally resume per input
-    partition (pipelines/quality_filter.run_quality_filter).
+    rebuilds the rest; ``resume=False`` rebuilds all three.
     ``n_output`` is the row count the final stage's write recorded.
     """
-    import ray.data as rd
-
     clock = clock or Clock.frozen_now()
     rules = rules if rules is not None else WEB_QUALITY_RULES
-    key = _input_key(input_dir, rules, clock)
+    files, fmt = readers.data_files(input_dir, readers.PAGE_SUFFIXES)
+    # rules read the clock only through ``today()``
+    key = input_key(files, rules, clock.today())
     if not resume:
         for name in STAGES:
             shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
 
-    pages = rd.read_parquet(input_dir)
+    columns = page_columns(files, fmt)
+    pages = readers.read_files(files, fmt, columns)
     n_in = pages.count()
-    _compose(pages, rules, clock, True,
+    _compose(pages, rules, clock, "html" in columns,
              lambda name, build: stage_checkpoint(build, out_dir, name, key))
     n_out = stage_rows(out_dir, "03_docs")
     return {"n_input": n_in, "n_output": n_out,

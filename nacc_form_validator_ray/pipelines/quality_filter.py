@@ -3,7 +3,7 @@
 Recasts the reference's declarative rule engine as a keep/drop decision
 stack over Common-Crawl-style pages::
 
-    read_parquet(pages)                       # column-pruned read
+    readers.read_files(pages)                 # column-pruned read
       → map_batches(ExtractText)              # html → text (deterministic)
       → map_batches(TextStats)                # C4/Gopher heuristics
       → map_batches(LangId)                   # stopword-bank language ID
@@ -30,19 +30,16 @@ shuffling one row per (part, host).
 
 from __future__ import annotations
 
-import gzip
-import json
-import os
 from collections import Counter
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 from nacc_form_validator_ray.pipelines.webgen import extract_text
+from nacc_form_validator_ray.sources import readers
 from nacc_form_validator_ray.stages.partition import (grouped_agg_sum,
                                                       pa_grouped_agg)
 from nacc_form_validator_ray.stages.scrub import Scrubber
@@ -185,28 +182,17 @@ class _PartitionSink(lineage.StageSink):
                         "rule_hits": dict(hits)}
 
 
-_JSONL_SUFFIXES = (".jsonl", ".ndjson", ".jsonl.gz", ".ndjson.gz")
-
-#: non-blank JSONL lines read to find the input's columns
-_PROBE_LINES = 16
-
-
-def _jsonl_keys(files: List[str]) -> Tuple[set, List[str]]:
-    """Keys of the first ``_PROBE_LINES`` non-blank JSONL records, read
-    across files in order, and the files that were opened."""
-    keys: set = set()
-    seen = 0
-    for i, path in enumerate(files):
-        opener = gzip.open if path.endswith(".gz") else open
-        with opener(path, "rt") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                keys.update(json.loads(line))
-                seen += 1
-                if seen == _PROBE_LINES:
-                    return keys, files[:i + 1]
-    return keys, files
+def page_columns(files: List[str], fmt: str) -> List[str]:
+    """The page columns to read: html or text. With an html column the
+    pipeline extracts text FROM it, so a stored ``text`` column (about
+    half the payload) never leaves storage."""
+    present, probed = readers.probe_columns(files, fmt)
+    if not {"html", "text"} & present:
+        raise ValueError(
+            f"neither an 'html' nor a 'text' column in "
+            f"{', '.join(probed)}")
+    return [c for c in ("url", "warc_ts", "html", "lang", "text")
+            if c in present and not (c == "text" and "html" in present)]
 
 
 def run_quality_filter(input_dir: str,
@@ -217,78 +203,40 @@ def run_quality_filter(input_dir: str,
                        output_columns: Optional[List[str]] = None,
                        input_columns: Optional[List[str]] = None,
                        clock: Optional[Clock] = None) -> Dict[str, Any]:
-    """Resumable partitioned run over a directory of pages — parquet
-    (preferred: column pruning + row-group pushdown) or JSONL
-    (``.jsonl``/``.ndjson``, optionally gzipped; Common-Crawl-dump
-    style; columns are projected right after the read since the row
-    format cannot prune at the source).
+    """Resumable partitioned run over a directory of parquet or JSONL
+    page files (``sources/readers.PAGE_SUFFIXES``; JSONL may be gzipped
+    and is projected right after the read).
 
     Partitions are groups of input FILES (stable across reruns); each
     completed partition gets a ``_lineage/part-<i>.json`` manifest with
-    row counts and rule-hit counters. Each partition is ONE Ray Data
-    execution: the parquet sink counts every block before projecting it
-    to ``output_columns``, and the driver merges one small partial per
-    write task — no schema probe, no read-back of the output.
-    ``resume=True`` skips completed partitions and wipes half-written
-    ones. Inputs WITHOUT an ``html`` column (pre-extracted text dumps)
-    skip the extraction stage and feed ``text`` straight into the
-    signal/rule chain.
+    row counts, rule-hit counters and its ``lineage.input_key`` (files,
+    rules, input and output columns, the clock's date).
+    ``resume=True`` skips partitions whose manifest holds the current
+    key and wipes all other partition output (``clean_incomplete``);
+    ``resume=False`` rebuilds all. Inputs WITHOUT an ``html`` column
+    (pre-extracted text dumps) skip the extraction stage.
     """
-    import ray.data as rd
-
-    files = sorted(
-        os.path.join(input_dir, f) for f in os.listdir(input_dir)
-        if f.endswith(".parquet"))
-    fmt = "parquet"
-    if not files:
-        files = sorted(
-            os.path.join(input_dir, f) for f in os.listdir(input_dir)
-            if f.endswith(_JSONL_SUFFIXES))
-        fmt = "json"
-    if not files:
-        raise FileNotFoundError(
-            f"no parquet or jsonl files under {input_dir}")
+    files, fmt = readers.data_files(input_dir, readers.PAGE_SUFFIXES)
     parts: List[List[str]] = [
         files[i:i + files_per_partition]
         for i in range(0, len(files), files_per_partition)]
-    part_ids = list(range(len(parts)))
-    todo = lineage.clean_incomplete(out_dir, part_ids) if resume \
-        else part_ids
-
     clock = clock or Clock.frozen_now()
     if input_columns is None:
-        # prune at the read: with an html column the pipeline extracts
-        # text FROM it, so a redundant stored `text` column (about half
-        # the payload) never needs to leave storage
-        if fmt == "parquet":
-            present = set(pq.read_schema(files[0]).names)
-            probed = files[:1]
-        else:
-            present, probed = _jsonl_keys(files)
-        if not {"html", "text"} & present:
-            raise ValueError(
-                f"neither an 'html' nor a 'text' column in "
-                f"{', '.join(probed)}")
-        input_columns = [c for c in ("url", "warc_ts", "html", "lang",
-                                     "text") if c in present]
-        if "html" in input_columns and "text" in input_columns:
-            input_columns.remove("text")
+        input_columns = page_columns(files, fmt)
+    rules = rules if rules is not None else WEB_QUALITY_RULES
+    output_columns = output_columns or OUTPUT_COLUMNS
+    keys = [lineage.input_key(p, rules, input_columns, output_columns,
+                              clock.today()) for p in parts]
     extract = "html" in input_columns
-    for part in todo:
-        frag_files = parts[part]
-        if fmt == "parquet":
-            ds = rd.read_parquet(frag_files, columns=input_columns)
-        else:
-            # suffixes were filtered above; Ray's default extension list
-            # lacks .ndjson, and it infers gzip from the path
-            ds = rd.read_json(frag_files, file_extensions=None) \
-                .select_columns(input_columns)
+    for part in lineage.clean_incomplete(out_dir, keys, resume):
+        ds = readers.read_files(parts[part], fmt, input_columns)
         ds = build_quality_pipeline(ds, rules=rules, clock=clock,
                                     extract=extract)
         sink = _PartitionSink(lineage.partition_dir(out_dir, part),
-                              output_columns or OUTPUT_COLUMNS)
+                              output_columns)
         ds.write_datasink(sink)
-        lineage.write_manifest(out_dir, part, frag_files, **sink.metrics)
+        lineage.write_manifest(out_dir, part, parts[part], **sink.metrics,
+                               extra=lineage.stamp(keys[part]))
     return lineage.aggregate_metrics(out_dir)
 
 

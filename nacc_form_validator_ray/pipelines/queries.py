@@ -5812,7 +5812,8 @@ def q_semdedup_corpus(sf_dir: str, ckpt_dir: str | None = None):
     from nacc_form_validator_ray.stages.joins import hash_join
     from nacc_form_validator_ray.stages.partition import grouped_agg_sum
     from nacc_form_validator_ray.stages.semdedup import semdedup
-    from nacc_form_validator_ray.state.lineage import stage_checkpoint
+    from nacc_form_validator_ray.state.lineage import (input_key,
+                                                       stage_checkpoint)
     rd_ = _rd()
 
     def build_verdicts():
@@ -5824,8 +5825,8 @@ def q_semdedup_corpus(sf_dir: str, ckpt_dir: str | None = None):
                 {"doc_id": t["vec_id"], "kept": t["kept"]}),
             batch_format="pyarrow")
 
-    verdicts = stage_checkpoint(build_verdicts, ckpt_dir, "verdicts",
-                                sf_dir)
+    key = input_key(sf_dir) if ckpt_dir else None
+    verdicts = stage_checkpoint(build_verdicts, ckpt_dir, "verdicts", key)
 
     def doc_lean(t: "pa.Table") -> "pa.Table":
         from nacc_form_validator_ray.stages.text_signals import \

@@ -997,16 +997,18 @@ def q_keep_rate_by_ppl_decile(sf_dir: str,
     from nacc_form_validator_ray.pipelines.queries import _merge_partials
     from nacc_form_validator_ray.stages.joins import hash_join
     from nacc_form_validator_ray.stages.ranking import global_rank
-    from nacc_form_validator_ray.state.lineage import stage_checkpoint
+    from nacc_form_validator_ray.state.lineage import (input_key,
+                                                       stage_checkpoint)
 
+    key = input_key(sf_dir) if ckpt_dir else None
     ppl = stage_checkpoint(
         lambda: _Q.q_bigram_perplexity_docs(sf_dir)
         .select_columns(["doc_id", "log_ppl"]),
-        ckpt_dir, "ppl", sf_dir)
+        ckpt_dir, "ppl", key)
     keep = stage_checkpoint(
         lambda: _Q.q_quality_filter(sf_dir)
         .select_columns(["doc_id", "passed"]),
-        ckpt_dir, "keep", sf_dir)
+        ckpt_dir, "keep", key)
     joined = hash_join(ppl, keep, on="doc_id", num_partitions=16)
     ranked = global_rank(joined, "log_ppl", tie_cols=["doc_id"],
                          num_partitions=16, ntile=10,

@@ -1,53 +1,97 @@
-"""Format-dispatched Dataset readers.
-
-The reference ingests CSV dict-rows (docs/validate_csv_records.py:90-100);
-this engine reads Parquet (preferred: column pruning + row-group
-pushdown), CSV and JSON(L) into the same Dataset shape. ``columns`` prunes
-at the read for Parquet and right after it for row-oriented formats.
+"""The one input layer: every entry point that takes an input path lists
+it (:func:`data_files`, one suffix table), reads it (:func:`read_files`)
+and probes its columns (:func:`probe_columns`) here. Parquet (preferred:
+column pruning + row-group pushdown), CSV and JSONL read into the same
+Dataset shape, as the reference's CSV dict-rows do
+(docs/validate_csv_records.py:90-100).
 """
 
 from __future__ import annotations
 
+import gzip
+import json
 import os
-from typing import List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
+
+#: file suffix → format; Ray infers gzip from the path
+SUFFIXES: Dict[str, str] = {
+    ".parquet": "parquet", ".pq": "parquet", ".csv": "csv",
+    ".jsonl": "json", ".ndjson": "json", ".jsonl.gz": "json",
+    ".ndjson.gz": "json", ".json": "json"}
+
+#: the page runs' input; a bare ``.json`` file is not a page dump
+PAGE_SUFFIXES: Dict[str, str] = {
+    s: f for s, f in SUFFIXES.items() if f != "csv" and s != ".json"}
+
+#: non-blank JSONL lines read to find the input's columns
+PROBE_LINES = 16
+
+
+def data_files(path: str, suffixes: Mapping[str, str] = SUFFIXES
+               ) -> Tuple[List[str], str]:
+    """The sorted data files of a file or a directory (walked; names
+    starting with ``_`` or ``.`` skipped, as Ray does) and their one
+    format. Raises ``ValueError`` unless exactly one format is found."""
+    files = [path]
+    if os.path.isdir(path):
+        files = []
+        for root, dirs, names in os.walk(path):
+            dirs[:] = [d for d in dirs if not d.startswith(("_", "."))]
+            files += [os.path.join(root, n) for n in names
+                      if not n.startswith(("_", "."))]
+    by_fmt: Dict[str, List[str]] = {}
+    for f in sorted(files):
+        fmt = next((fmt for s, fmt in suffixes.items()
+                    if f.lower().endswith(s)), None)
+        if fmt:
+            by_fmt.setdefault(fmt, []).append(f)
+    if len(by_fmt) != 1:
+        raise ValueError(f"{path}: found {sorted(by_fmt) or 'no'} data "
+                         f"files; expected one of {sorted(suffixes)}")
+    (fmt, found), = by_fmt.items()
+    return found, fmt
+
+
+def read_files(files: List[str], fmt: str,
+               columns: Optional[List[str]] = None, **kwargs):
+    """Read ``files`` of format ``fmt`` (from :func:`data_files`) into
+    one Dataset. The files are already chosen, so Ray's own extension
+    filter is off (its JSON list has no ``.ndjson``)."""
+    import ray.data as rd
+
+    kwargs = {"file_extensions": None, **kwargs}
+    if fmt == "parquet":
+        return rd.read_parquet(files, columns=columns, **kwargs)
+    read = rd.read_csv if fmt == "csv" else rd.read_json
+    ds = read(files, **kwargs)
+    return ds.select_columns(columns) if columns else ds
 
 
 def read_any(path: str, columns: Optional[List[str]] = None,
              **kwargs):
-    """Read a file or directory into a Dataset based on its extension.
+    """Read a file or directory of Parquet, CSV or JSON(L) into a
+    Dataset, with the format taken from the file suffixes."""
+    return read_files(*data_files(path), columns, **kwargs)
 
-    Directories are assumed to hold one format (sniffed from the first
-    data file). Parquet gets ``columns`` pushed into the read; CSV/JSON
-    are projected right after.
-    """
-    import ray.data as rd
 
-    fmt = _detect_format(path)
+def probe_columns(files: List[str], fmt: str) -> Tuple[set, List[str]]:
+    """The columns of Parquet or JSONL ``files`` and the files opened to
+    find them: the first file's schema, or the keys of the first
+    :data:`PROBE_LINES` non-blank records, read across files in order."""
+    import pyarrow.parquet as pq
+
     if fmt == "parquet":
-        return rd.read_parquet(path, columns=columns, **kwargs)
-    if fmt == "csv":
-        ds = rd.read_csv(path, **kwargs)
-    elif fmt == "json":
-        ds = rd.read_json(path, **kwargs)
-    else:
-        raise ValueError(f"cannot detect a supported format for {path}")
-    if columns:
-        ds = ds.select_columns(columns)
-    return ds
-
-
-def _detect_format(path: str) -> str:
-    candidates = [path]
-    if os.path.isdir(path):
-        candidates = sorted(
-            os.path.join(path, f) for f in os.listdir(path)
-            if not f.startswith(("_", ".")))
-    for p in candidates:
-        lower = p.lower()
-        if lower.endswith((".parquet", ".pq")):
-            return "parquet"
-        if lower.endswith(".csv"):
-            return "csv"
-        if lower.endswith((".json", ".jsonl", ".ndjson")):
-            return "json"
-    return "unknown"
+        return set(pq.read_schema(files[0]).names), files[:1]
+    keys: set = set()
+    seen = 0
+    for i, path in enumerate(files):
+        opener = gzip.open if path.endswith(".gz") else open
+        with opener(path, "rt") as f:
+            for line in f:
+                if not line.strip():
+                    continue
+                keys.update(json.loads(line))
+                seen += 1
+                if seen == PROBE_LINES:
+                    return keys, files[:i + 1]
+    return keys, files

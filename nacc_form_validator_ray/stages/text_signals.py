@@ -19,6 +19,7 @@ gate relies on this.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from typing import Dict, List, Optional
 
@@ -857,7 +858,6 @@ class Fingerprint:
 
     def __init__(self, text_column: str = "text"):
         self.text_column = text_column
-        self.norm_re = re.compile(r"\s+")
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         import pyarrow as pa
@@ -901,8 +901,8 @@ class Fingerprint:
                                     len(h) - 1)
             winnow[long_docs] = np.minimum.reduceat(h, red_starts)
         for i in np.flatnonzero(~long_docs):
-            winnow[i] = np.uint64(int.from_bytes(
-                hashlib.md5(norm.iloc[i].encode()).digest()[:8], "big"))
+            digest = hashlib.md5((sarr[i].as_py() or "").encode()).digest()
+            winnow[i] = np.uint64(int.from_bytes(digest[:8], "big"))
         batch["fingerprint_winnow"] = winnow
         return batch
 

@@ -1,25 +1,25 @@
-"""Per-partition lineage manifests and rule-hit metrics.
+"""Resume state: input keys, partition manifests, stage checkpoints.
 
-Resumability contract (SURVEY.md §4): the output layout is
-partition-deterministic — one ``part=<i>/`` parquet directory per input
-fragment group, plus ``_lineage/part-<i>.json`` recording the input
-fragments, row counts, keep counts and per-(field, code) rule-hit
-counters. A rerun skips every partition whose manifest exists and removes
-half-written partition directories before reprocessing, so a killed job
-resumes mid-dataset without duplicating or dropping rows. Partitioning is
-derived from INPUT fragments, not from runtime block boundaries, so it is
-stable under Ray's dynamic scheduling.
-
-Compositions whose stages are global (a dedup decision needs the whole
-corpus) checkpoint per STAGE instead: ``stage_checkpoint`` writes each
-stage once, through the same counting sink, under a ``_DONE`` marker
-keyed by the stage's inputs.
+Resumability contract (SURVEY.md §4): resume is keyed on input files
+(:func:`input_key`). A partitioned run writes one ``part=<i>/`` parquet
+directory per input-file group plus ``_lineage/part-<i>.json`` recording
+the input fragments, row counts, keep counts, per-(field, code)
+rule-hit counters and the partition's key. Compositions whose stages are
+global (a dedup decision needs the whole corpus) checkpoint per STAGE
+instead, under a ``_DONE`` marker (:func:`stage_checkpoint`). One rule
+decides both: a manifest or marker counts only if it parses and holds
+the caller's key and this package's version. Everything else — half
+written, from other input or an older version, a partition the input no
+longer has — is wiped and rebuilt, so a killed or re-pointed run
+resumes without duplicating, dropping or keeping stale rows.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import shutil
 from datetime import datetime, timezone
 from typing import Any, Dict, Iterable, List, Optional
@@ -41,28 +41,66 @@ def partition_dir(out_dir: str, part: int) -> str:
     return os.path.join(out_dir, f"part={part}")
 
 
+def _indexes(path: str, pattern: str) -> List[int]:
+    names = os.listdir(path) if os.path.isdir(path) else []
+    return sorted(int(m[1]) for m in map(re.compile(pattern).fullmatch,
+                                         names) if m)
+
+
 def completed_parts(out_dir: str) -> List[int]:
-    ldir = lineage_dir(out_dir)
-    if not os.path.isdir(ldir):
-        return []
-    parts = []
-    for name in os.listdir(ldir):
-        if name.startswith("part-") and name.endswith(".json"):
-            parts.append(int(name[len("part-"):-len(".json")]))
-    return sorted(parts)
+    return _indexes(lineage_dir(out_dir), r"part-(\d+)\.json")
 
 
-def clean_incomplete(out_dir: str, all_parts: List[int]) -> List[int]:
-    """Remove partition dirs without a manifest; return parts still to do."""
-    done = set(completed_parts(out_dir))
-    todo = []
-    for part in all_parts:
-        if part in done:
-            continue
-        pdir = partition_dir(out_dir, part)
-        if os.path.isdir(pdir):
-            shutil.rmtree(pdir)
-        todo.append(part)
+def input_key(files_or_dir, *parts: Any) -> str:
+    """Identity of a run's inputs: each input file's path relative to
+    the input root, size and ``mtime_ns``, plus the JSON of ``parts``.
+    ``files_or_dir`` is a list of files (root: their common directory)
+    or a directory (every file under it)."""
+    if isinstance(files_or_dir, str):
+        root = files_or_dir
+        files = [os.path.join(d, n)
+                 for d, _, names in os.walk(root) for n in names]
+    else:
+        files = [os.path.abspath(f) for f in files_or_dir]
+        root = os.path.commonpath([os.path.dirname(f) for f in files])
+    stats = [(os.path.relpath(f, root), os.stat(f).st_size,
+              os.stat(f).st_mtime_ns) for f in sorted(files)]
+    ident = json.dumps([stats, parts], sort_keys=True, default=str)
+    return hashlib.sha256(ident.encode()).hexdigest()
+
+
+def stamp(key: str) -> Dict[str, str]:
+    """What a manifest or marker must hold to count as current."""
+    from nacc_form_validator_ray import __version__
+    return {"key": key, "version": __version__}
+
+
+def _current(path: str, key: str) -> bool:
+    try:
+        with open(path) as f:
+            record = json.load(f)
+    except (OSError, ValueError):
+        return False
+    return isinstance(record, dict) and \
+        all(record.get(k) == v for k, v in stamp(key).items())
+
+
+def clean_incomplete(out_dir: str, keys: List[str],
+                     resume: bool) -> List[int]:
+    """Partition ``i`` of the current input has key ``keys[i]``. Keep
+    each partition whose manifest is current (none when ``resume`` is
+    false), remove every other ``part=<i>/`` directory and manifest —
+    also those past the input's partitions — and return the parts
+    still to do."""
+    todo = [i for i, key in enumerate(keys)
+            if not (resume and _current(manifest_path(out_dir, i), key))]
+    on_disk = completed_parts(out_dir) + _indexes(out_dir, r"part=(\d+)")
+    for part in set(todo) | {p for p in on_disk if p >= len(keys)}:
+        # manifest first: a kill in between leaves a part to redo,
+        # never a manifest without its data
+        if os.path.exists(manifest_path(out_dir, part)):
+            os.remove(manifest_path(out_dir, part))
+        shutil.rmtree(partition_dir(out_dir, part), ignore_errors=True)
     return todo
 
 
@@ -158,17 +196,10 @@ class StageSink(BlockBasedFileDatasink):
                 pq.write_table(schema.empty_table(), f)
 
 
-def _read_marker(stage_dir: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(os.path.join(stage_dir, "_DONE")) as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return None
-
-
 def stage_rows(ckpt_dir: str, name: str) -> int:
     """Rows written by the completed checkpoint ``ckpt_dir/name``."""
-    return _read_marker(os.path.join(ckpt_dir, name))["n_rows"]
+    with open(os.path.join(ckpt_dir, name, "_DONE")) as f:
+        return json.load(f)["n_rows"]
 
 
 def stage_checkpoint(build, ckpt_dir: Optional[str], name: str, key: str):
@@ -178,29 +209,27 @@ def stage_checkpoint(build, ckpt_dir: Optional[str], name: str, key: str):
     With ``ckpt_dir=None`` it is called through unchanged (no IO — the
     default registry/driver path). With a directory, the stage's output
     is written once to ``ckpt_dir/name/`` parquet through a
-    :class:`StageSink`, and the ``_DONE`` marker records ``key``, the
-    package version and the written row count. A rerun whose marker
-    holds the same key and version streams the stage back from disk
-    instead of recomputing the upstream, so a killed multi-stage job
-    resumes from its last completed stage. Any other stage dir — half
-    written, from an older version, or built from a different ``key``
-    (the caller's identity of the stage's inputs) — is wiped and
-    rebuilt. A zero-row stage still gets its directory and marker.
+    :class:`StageSink`, and the ``_DONE`` marker records ``key`` (the
+    caller's :func:`input_key` of the stage's inputs), the package
+    version and the written row count. A rerun whose marker is current
+    streams the stage back from disk instead of recomputing the
+    upstream, so a killed multi-stage job resumes from its last
+    completed stage. Any other stage dir — half written, from an older
+    version, or built from a different key — is wiped and rebuilt. A
+    zero-row stage still gets its directory and marker.
     """
     if ckpt_dir is None:
         return build()
     import ray.data as rd
-    from nacc_form_validator_ray import __version__
 
     d = os.path.join(ckpt_dir, name)
-    want = {"key": key, "version": __version__}
-    marker = _read_marker(d)
-    if marker is None or {k: marker.get(k) for k in want} != want:
+    marker = os.path.join(d, "_DONE")
+    if not _current(marker, key):
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d)
         sink = StageSink(d)
         build().write_datasink(sink)
         # a torn marker does not parse, so it reads as "not done"
-        with open(os.path.join(d, "_DONE"), "w") as f:
-            json.dump({**want, "n_rows": sink.num_rows}, f)
+        with open(marker, "w") as f:
+            json.dump({**stamp(key), "n_rows": sink.num_rows}, f)
     return rd.read_parquet(d)

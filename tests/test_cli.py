@@ -93,6 +93,16 @@ def test_read_any_formats(tmp_path):
                     columns=["a"]).schema().names == ["a"]
     assert read_any(str(tmp_path / "pq"), columns=["b"]).take(1)[0] == \
         {"b": "x"}
+    # JSONL directories: .ndjson (not in Ray's own suffix list) and
+    # gzipped .jsonl
+    (tmp_path / "nd").mkdir()
+    df.to_json(tmp_path / "nd" / "t.ndjson", orient="records", lines=True)
+    (tmp_path / "gz").mkdir()
+    df.to_json(tmp_path / "gz" / "t.jsonl.gz", orient="records",
+               lines=True, compression="gzip")
+    for d in ("nd", "gz"):
+        got = read_any(str(tmp_path / d)).to_pandas()
+        pd.testing.assert_frame_equal(got[["a", "b"]], df)
 
 
 def test_cli_quality_filter_with_rules_file(tmp_path):

@@ -173,6 +173,27 @@ def test_minhash_estimator_bounds():
     assert out["abs_err"].mean() < 3 / np.sqrt(128)
 
 
+def test_minhash_estimate_error_missing_id_raises(monkeypatch):
+    """A verified pair naming a doc id absent from ``documents`` raises
+    instead of gathering a neighbour's signature."""
+    import pytest
+
+    from nacc_form_validator_ray.pipelines import mining
+    from nacc_form_validator_ray.pipelines.curation import \
+        q_minhash_estimate_error
+    ids = pq.read_table(f"{SF}/documents.parquet",
+                        columns=["doc_id"])["doc_id"].to_pylist()
+    absent = max(ids) + 1000
+    monkeypatch.setattr(mining, "q_minhash_verify_pairs",
+                        lambda sf: pd.DataFrame({
+                            "id_a": np.array([min(ids)], np.int64),
+                            "id_b": np.array([absent], np.int64),
+                            "n_bands": np.array([1], np.int64),
+                            "jaccard": np.array([0.5])}))
+    with pytest.raises(ValueError, match=str(absent)):
+        q_minhash_estimate_error(SF)
+
+
 def test_winsorize_report_semantics(tmp_path):
     """21 values 0..20: p05 = v[1] = 1, p95 = v[19] = 19; one value
     clips low (0) and one high (20); winsorized sum replaces them."""

@@ -42,6 +42,17 @@ def test_webgen_dataset_and_extraction_identity():
         assert extract_text(h) == t
 
 
+def test_fingerprint_short_documents():
+    """Documents under 5 normalized chars take the md5 winnow branch."""
+    import hashlib
+    out = Fingerprint()(pd.DataFrame({"text": ["hello world foo", "abc",
+                                               ""]}))
+    for i, normalized in ((1, b"abc"), (2, b"")):
+        assert out["fingerprint_winnow"][i] == int.from_bytes(
+            hashlib.md5(normalized).digest()[:8], "big")
+    assert out["fingerprint_winnow"][0] != 0
+
+
 def test_text_stats_signals():
     df = pd.DataFrame({"text": [
         "the cat sat on the mat",
@@ -484,7 +495,8 @@ def test_run_quality_filter_manifests_pinned(tmp_path):
     _write_fragments(src, generate_pages(200, seed=9).to_pandas(), 2)
     out = str(tmp_path / "out")
     run_quality_filter(str(src), out, clock=Clock.frozen_now())
-    got = [{k: v for k, v in m.items() if k != "completed_at"}
+    got = [{k: v for k, v in m.items()
+            if k not in ("completed_at", "key", "version")}
            for m in lineage.read_manifests(out)]
     assert got == [
         {"part": 0, "input_fragments": [str(src / "frag0.parquet")],
@@ -512,10 +524,13 @@ def test_run_quality_filter_projection_without_result_columns(tmp_path):
     m = run_quality_filter(str(src), slim, clock=Clock.frozen_now(),
                            output_columns=["url", "scrubbed_text"])
     assert m["n_rows"] == 200 and m["n_kept"] == 140
-    strip = [{k: v for k, v in x.items() if k != "completed_at"}
-             for x in lineage.read_manifests(slim)]
-    assert strip == [{k: v for k, v in x.items() if k != "completed_at"}
-                     for x in lineage.read_manifests(full)]
+    # the key hashes output_columns, so only the counts can agree
+    def strip(out):
+        return [{k: v for k, v in x.items()
+                 if k not in ("completed_at", "key", "version")}
+                for x in lineage.read_manifests(out)]
+
+    assert strip(slim) == strip(full)
     t = pq.read_table(lineage.partition_dir(slim, 0))
     assert t.column_names == ["url", "scrubbed_text"]
     assert t.num_rows == 100

@@ -355,7 +355,8 @@ def test_report_tier_checkpoint_resume(tmp_path, monkeypatch):
 
     from nacc_form_validator_ray.pipelines import queries as Q
     from nacc_form_validator_ray.pipelines import stataudit as SA
-    from nacc_form_validator_ray.state.lineage import stage_checkpoint
+    from nacc_form_validator_ray.state.lineage import (input_key,
+                                                       stage_checkpoint)
 
     sf = "/root/testdata/sf0.001"
     ck = str(tmp_path / "ck")
@@ -379,7 +380,7 @@ def test_report_tier_checkpoint_resume(tmp_path, monkeypatch):
     stage_checkpoint(
         lambda: Q.q_bigram_perplexity_docs(sf)
         .select_columns(["doc_id", "log_ppl"]),
-        ck2, "ppl", sf)
+        ck2, "ppl", input_key(sf))
     monkeypatch.setattr(Q, "q_bigram_perplexity_docs", boom)
     partial = SA.q_keep_rate_by_ppl_decile(sf, ckpt_dir=ck2)
     pd.testing.assert_frame_equal(partial, base)
