@@ -3755,26 +3755,26 @@ def q_corpus_checksum_by_shard(sf_dir: str) -> pd.DataFrame:
     fold with explicit Python-int mod-2^64 wrap. int64 outputs are the
     two's-complement view of the uint64 bit patterns (same convention
     as fingerprint_docs' md5 fold)."""
-    import hashlib
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from nacc_form_validator_ray.stages.dedup import md5_digests
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "text"])
 
     def partial(t) -> pd.DataFrame:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        txt = t["text"].to_pylist()
         if not len(ids):
             return pd.DataFrame({
                 "shard": pd.Series([], dtype=np.int64),
                 "n_docs": pd.Series([], dtype=np.int64),
                 "xor_h": pd.Series([], dtype=np.uint64),
                 "sum_h": pd.Series([], dtype=np.uint64)})
-        h = np.fromiter(
-            (int.from_bytes(hashlib.md5(
-                f"{int(i)}:{s if s is not None else ''}".encode())
-                .digest()[:8], "big")
-             for i, s in zip(ids, txt)),
-            dtype=np.uint64, count=len(ids))
+        keys = pc.binary_join_element_wise(
+            pc.cast(t["doc_id"], pa.string()),
+            pc.fill_null(t["text"], ""), ":")
+        h = md5_digests(keys).view(">u8")[:, 0].astype(np.uint64)
         # DuckDB % is sign-preserving (trunc), numpy % floors:
         # spell trunc-mod explicitly so negative doc_ids agree
         ids64 = ids.astype(np.int64)
@@ -4711,7 +4711,7 @@ def q_dedup_funnel_report(sf_dir: str,
                               columns=["doc_id", "text"])
     n_input = docs.count()
 
-    fp = docs.map_batches(Fingerprint(), batch_format="pandas") \
+    fp = docs.map_batches(Fingerprint(), batch_format="pyarrow") \
         .select_columns(["doc_id", "fingerprint_md5"])
 
     def keep_min(g: pd.DataFrame) -> pd.DataFrame:

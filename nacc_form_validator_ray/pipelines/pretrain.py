@@ -32,7 +32,7 @@ from typing import Any, Dict, Mapping, Optional
 import numpy as np
 
 from nacc_form_validator_ray.pipelines.quality_filter import (
-    WEB_QUALITY_RULES, build_quality_pipeline, page_columns)
+    WEB_QUALITY_RULES, build_quality_pipeline, page_columns, read_pages)
 from nacc_form_validator_ray.sources import readers
 from nacc_form_validator_ray.stages.dedup import (drop_banned,
                                                   exact_dup_ids,
@@ -173,7 +173,7 @@ def run_pretrain(input_dir: str, out_dir: str,
             shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
 
     columns = page_columns(files, fmt)
-    pages = readers.read_files(files, fmt, columns)
+    pages = read_pages(files, fmt, columns)
     n_in = pages.count()
     _compose(pages, rules, clock, "html" in columns,
              lambda name, build: stage_checkpoint(build, out_dir, name, key))

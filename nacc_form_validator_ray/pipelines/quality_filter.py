@@ -5,8 +5,8 @@ stack over Common-Crawl-style pages::
 
     readers.read_files(pages)                 # column-pruned read
       → map_batches(ExtractText)              # html → text (deterministic)
-      → map_batches(TextStats)                # C4/Gopher heuristics
-      → map_batches(LangId)                   # stopword-bank language ID
+      → map_batches(TextStats(langid=True))   # C4/Gopher heuristics +
+                                              #   stopword-bank language ID
       → validate_dataset(WEB_QUALITY_RULES)   # the rule engine: per-doc
                                               #   error-code vector + keep bit
       → map_batches(Scrubber)                 # regex PII/toxicity scrub
@@ -38,13 +38,16 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from nacc_form_validator_ray.pipelines.webgen import extract_text
+from nacc_form_validator_ray.pipelines.webgen import (HTML_PREFIX,
+                                                      HTML_SUFFIX)
 from nacc_form_validator_ray.sources import readers
 from nacc_form_validator_ray.stages.partition import (grouped_agg_sum,
                                                       pa_grouped_agg)
 from nacc_form_validator_ray.stages.scrub import Scrubber
 from nacc_form_validator_ray.stages.text_signals import (Fingerprint,
-                                                         TextStats)
+                                                         TextStats,
+                                                         batch_text,
+                                                         with_columns)
 from nacc_form_validator_ray.stages.validate import validate_dataset
 from nacc_form_validator_ray.state import lineage
 from nacc_form_validator_ray.utils import Clock
@@ -65,12 +68,15 @@ WEB_QUALITY_RULES: Dict[str, Dict[str, Any]] = {
 
 
 class ExtractText:
-    """html binary → text column (deterministic synthetic extractor).
+    """html → text column (deterministic synthetic extractor).
 
-    A real boilerplate stripper (trafilatura/bs4) is not available in
-    this container; the envelope extraction preserves the byte-identity
-    invariant the driver checks. Swap ``extract_text`` for the real one —
-    the stage shape (actor-pool map_batches over binary) is unchanged.
+    The extractor is one Arrow kernel: ``binary_slice`` strips the fixed
+    envelope and the body is read as utf-8. ``html`` may be binary
+    (parquet) or a string (JSON can only carry text), which is viewed as
+    binary first. ``webgen.extract_text`` is the byte-identity reference
+    it must match. A real boilerplate stripper (trafilatura/bs4) is not
+    available in this container; it would replace the kernel, and the
+    stage shape (actor-pool map_batches over a batch's html) stays.
     """
 
     def __init__(self, html_column: str = "html",
@@ -80,34 +86,16 @@ class ExtractText:
         self.drop_html = drop_html
 
     def __call__(self, batch):
-        import pyarrow as pa
-        import pyarrow.compute as pc
-        from nacc_form_validator_ray.pipelines.webgen import (HTML_PREFIX,
-                                                              HTML_SUFFIX)
-        if isinstance(batch, pa.Table):
-            col = batch[self.html_column]
-            arr = col.combine_chunks() if isinstance(
-                col, pa.ChunkedArray) else col
-            # envelope strip entirely in C: slice off the fixed prefix /
-            # suffix and reinterpret as utf8
-            body = pc.binary_slice(pc.fill_null(arr, b""),
-                                   start=len(HTML_PREFIX),
-                                   stop=-len(HTML_SUFFIX))
-            text = pc.cast(body, pa.string())
-            if self.drop_html:
-                batch = batch.drop_columns([self.html_column])
-            if self.text_column in batch.column_names:
-                batch = batch.drop_columns([self.text_column])
-            return batch.append_column(self.text_column, text)
-        batch = batch.copy()
-        batch[self.text_column] = [
-            extract_text(h) if isinstance(h, (bytes, bytearray)) else ""
-            for h in batch[self.html_column]]
-        if self.drop_html:
-            # the raw payload is dead weight downstream; drop it early so
-            # every later stage moves smaller blocks
-            del batch[self.html_column]
-        return batch
+        html = batch_text(batch, self.html_column)
+        if pa.types.is_string(html.type):
+            html = html.view(pa.binary())
+        body = pc.binary_slice(html, start=len(HTML_PREFIX),
+                               stop=-len(HTML_SUFFIX))
+        # the raw payload is dead weight downstream; drop it early so
+        # every later stage moves smaller blocks
+        return with_columns(
+            batch, {self.text_column: pc.cast(body, pa.string())},
+            drop=[self.html_column] if self.drop_html else [])
 
 
 def build_quality_pipeline(ds,
@@ -134,8 +122,7 @@ def build_quality_pipeline(ds,
     ds = ds.map_batches(TextStats(langid=True, ppl_model=ppl_model),
                         **kw)
     if fingerprint:
-        ds = ds.map_batches(Fingerprint(), batch_format="pandas",
-                            batch_size=batch_size)
+        ds = ds.map_batches(Fingerprint(), **kw)
     if scrub:
         ds = ds.map_batches(Scrubber(), **kw)
     # validation last: its arrow output (errors: list<struct>) streams
@@ -195,6 +182,23 @@ def page_columns(files: List[str], fmt: str) -> List[str]:
             if c in present and not (c == "text" and "html" in present)]
 
 
+def read_pages(files: List[str], fmt: str, columns: List[str]):
+    """Read the page ``columns`` of ``files`` (the one page read of
+    ``run_quality_filter`` and ``run_pretrain``). JSON has no timestamp
+    type: Arrow's reader types an ISO ``warc_ts`` as a timestamp only
+    without fractional seconds, so a JSONL ``warc_ts`` is cast to the
+    page schema's ``timestamp[us]`` (``webgen``), which parses both."""
+    ds = readers.read_files(files, fmt, columns)
+    if fmt != "json" or "warc_ts" not in columns:
+        return ds
+    return ds.map_batches(_page_warc_ts, batch_format="pyarrow")
+
+
+def _page_warc_ts(t: pa.Table) -> pa.Table:
+    return t.set_column(t.schema.get_field_index("warc_ts"), "warc_ts",
+                        pc.cast(t["warc_ts"], pa.timestamp("us")))
+
+
 def run_quality_filter(input_dir: str,
                        out_dir: str,
                        rules: Optional[Mapping[str, Any]] = None,
@@ -229,7 +233,7 @@ def run_quality_filter(input_dir: str,
                               clock.today()) for p in parts]
     extract = "html" in input_columns
     for part in lineage.clean_incomplete(out_dir, keys, resume):
-        ds = readers.read_files(parts[part], fmt, input_columns)
+        ds = read_pages(parts[part], fmt, input_columns)
         ds = build_quality_pipeline(ds, rules=rules, clock=clock,
                                     extract=extract)
         sink = _PartitionSink(lineage.partition_dir(out_dir, part),

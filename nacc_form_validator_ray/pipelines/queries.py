@@ -1272,7 +1272,7 @@ WHERE d.dot > 0
 def q_fingerprint_docs(sf_dir: str):
     from nacc_form_validator_ray.stages.text_signals import Fingerprint
     ds = _docs(sf_dir, columns=["doc_id", "text"])
-    ds = ds.map_batches(Fingerprint(), batch_format="pandas")
+    ds = ds.map_batches(Fingerprint(), batch_format="pyarrow")
     return ds.select_columns(["doc_id", "fingerprint_md5",
                               "fingerprint_winnow"])
 
@@ -3230,7 +3230,7 @@ def q_perplexity_docs(sf_dir: str):
     model = train_ngram_model(ds)
     scored = ds.map_batches(PerplexityScorer,
                             fn_constructor_kwargs={"model": model},
-                            batch_format="pandas", concurrency=(1, 4))
+                            batch_format="pyarrow", concurrency=(1, 4))
     return scored.select_columns(["doc_id", "log_ppl", "ppl_tokens",
                                   "oov_count"])
 
@@ -3780,7 +3780,7 @@ def q_fingerprint_md5(sf_dir: str):
     half of the fingerprint family (winnowing stays rows-only)."""
     from nacc_form_validator_ray.stages.text_signals import Fingerprint
     ds = _docs(sf_dir, columns=["doc_id", "text"])
-    ds = ds.map_batches(Fingerprint(), batch_format="pandas")
+    ds = ds.map_batches(Fingerprint(), batch_format="pyarrow")
     return ds.select_columns(["doc_id", "fingerprint_md5"])
 
 
@@ -4047,7 +4047,7 @@ def q_fingerprint_winnow(sf_dir: str):
     excluded here (fingerprint_docs covers them rows-only)."""
     from nacc_form_validator_ray.stages.text_signals import Fingerprint
     ds = _docs(sf_dir, columns=["doc_id", "text"])
-    ds = ds.map_batches(Fingerprint(), batch_format="pandas")
+    ds = ds.map_batches(Fingerprint(), batch_format="pyarrow")
 
     def finalize(batch: pd.DataFrame) -> pd.DataFrame:
         import pyarrow.compute as pc

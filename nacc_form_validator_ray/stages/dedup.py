@@ -136,69 +136,45 @@ def _utf8_slices(arr):
     return mv, off[:-1], off[1:]
 
 
-def md5_int64_pairs(arr) -> np.ndarray:
-    """Per-row md5 of an Arrow string array as an (n, 2) int64 matrix
-    (the 128-bit digest as two fixed-width columns). One C digest call
-    per row over a memoryview slice of the packed buffer — no Python
-    str is ever created. Nulls hash as empty strings."""
+def md5_digests(arr) -> np.ndarray:
+    """Per-row md5 of an Arrow string array (or a sequence of str) as
+    an (n, 2) uint64 matrix of the packed 16-byte digests — the one
+    per-row digest loop: one C digest call per row over a memoryview
+    slice of the packed buffer, so no Python str is ever created. Nulls
+    hash as empty strings, matching DuckDB ``md5(coalesce(x,''))``."""
     import hashlib
     import pyarrow as pa
     import pyarrow.compute as pc
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
+    elif not isinstance(arr, pa.Array):
+        arr = pa.array(arr, type=pa.string())
     arr = pc.fill_null(arr, "")
-    n = len(arr)
-    if n == 0:
-        return np.empty((0, 2), dtype=np.int64)
     mv, s, e = _utf8_slices(arr)
     digests = b"".join(hashlib.md5(mv[s[i]:e[i]]).digest()
-                       for i in range(n))
-    return np.frombuffer(digests, dtype=np.uint64).view(np.int64) \
-        .reshape(-1, 2)
+                       for i in range(len(arr)))
+    return np.frombuffer(digests, dtype=np.uint64).reshape(-1, 2)
+
+
+def md5_int64_pairs(arr) -> np.ndarray:
+    """Per-row md5 as an (n, 2) int64 matrix (the 128-bit digest as two
+    fixed-width columns; a view of :func:`md5_digests`)."""
+    return md5_digests(arr).view(np.int64)
 
 
 def md5_hex(arr) -> np.ndarray:
-    """Per-row md5 HEXDIGEST of an Arrow string array as an object
-    ndarray — one C digest call per row over a memoryview slice of the
-    packed buffer (no Python str round-trip, no re-encode; the only
-    per-row objects are the 32-char hex outputs the caller asked for).
-    Nulls hash as empty strings, matching DuckDB ``md5(coalesce(x,''))``
-    and the ``fill_null`` convention of the int64-pair variant."""
-    import hashlib
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    if not isinstance(arr, (pa.Array,)):
-        arr = pa.array(arr, type=pa.string())
-    arr = pc.fill_null(arr, "")
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=object)
-    mv, s, e = _utf8_slices(arr)
-    return np.fromiter(
-        (hashlib.md5(mv[s[i]:e[i]]).hexdigest() for i in range(n)),
-        dtype=object, count=n)
+    """Per-row md5 HEXDIGEST as an object ndarray: the hex of the
+    :func:`md5_digests` buffer cut into 32-character pieces."""
+    hexed = md5_digests(arr).tobytes().hex().encode()
+    return np.frombuffer(hexed, dtype="S32").astype(str).astype(object)
 
 
 def md5_prefix60(arr) -> np.ndarray:
     """First 60 bits of the per-row md5 (== ``int(hexdigest()[:15],
-    16)``) of an Arrow string array, as int64 — the deterministic
-    doc-id convention shared with the DuckDB twins (md5 + hex fold)."""
-    import hashlib
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    if isinstance(arr, pa.ChunkedArray):
-        arr = arr.combine_chunks()
-    arr = pc.fill_null(arr, "")
-    n = len(arr)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    mv, s, e = _utf8_slices(arr)
-    return np.fromiter(
-        (int.from_bytes(hashlib.md5(mv[s[i]:e[i]]).digest()[:8],
-                        "big") >> 4 for i in range(n)),
-        dtype=np.int64, count=n)
+    16)``) as int64 — the deterministic doc-id convention shared with
+    the DuckDB twins (md5 + hex fold): the big-endian first digest word
+    shifted right by 4."""
+    return (md5_digests(arr).view(">u8")[:, 0] >> 4).astype(np.int64)
 
 
 def _flat_token_hashes(text: pd.Series, mult: int = TOKEN_FOLD_MULT):

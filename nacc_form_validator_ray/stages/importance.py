@@ -33,6 +33,8 @@ import numpy as np
 import pandas as pd
 
 from nacc_form_validator_ray.stages.perplexity import quantize_logp
+from nacc_form_validator_ray.stages.text_signals import (batch_text,
+                                                         with_columns)
 
 
 def _batch_pair_counts(batch: pd.DataFrame, text_column: str,
@@ -144,17 +146,5 @@ class ImportanceScorer:
                 "dsir_tokens": lens.astype(np.int64)}
 
     def __call__(self, batch):
-        import pyarrow as pa
-        if isinstance(batch, pa.Table):
-            col = batch[self.text_column]
-            arr = col.combine_chunks() if isinstance(
-                col, pa.ChunkedArray) else col
-            for name, values in self._score(arr).items():
-                batch = batch.append_column(name, pa.array(values))
-            return batch
-        text_arr = pa.array(batch[self.text_column].fillna(""),
-                            type=pa.string())
-        batch = batch.copy()
-        for name, values in self._score(text_arr).items():
-            batch[name] = values
-        return batch
+        return with_columns(batch,
+                            self._score(batch_text(batch, self.text_column)))

@@ -26,7 +26,8 @@ from typing import Any, Dict, Optional
 import numpy as np
 import pandas as pd
 
-from nacc_form_validator_ray.stages.text_signals import WORD_RE
+from nacc_form_validator_ray.stages.text_signals import (batch_text,
+                                                         with_columns)
 
 
 def _batch_token_counts(batch: pd.DataFrame,
@@ -168,8 +169,6 @@ class PerplexityScorer:
         self.token_index = {t: i for i, t in enumerate(model["logp"])}
         self.logp = np.fromiter(model["logp"].values(), dtype=np.float64,
                                 count=len(model["logp"]))
-        import re
-        self.word_re = re.compile(WORD_RE)
 
     def _score(self, text_arr) -> Dict[str, np.ndarray]:
         from nacc_form_validator_ray.stages.text_signals import \
@@ -228,35 +227,9 @@ class PerplexityScorer:
                 "oov_count": oov}
 
     def __call__(self, batch):
-        import pyarrow as pa
-        if self.kenlm is not None:
-            texts = (batch[self.text_column].to_pylist()
-                     if isinstance(batch, pa.Table)
-                     else batch[self.text_column].fillna("").tolist())
-            texts = [t if t is not None else "" for t in texts]
-            cols = self._score_kenlm(texts)
-            if isinstance(batch, pa.Table):
-                for name, values in cols.items():
-                    batch = batch.append_column(name, pa.array(values))
-                return batch
-            batch = batch.copy()
-            for name, values in cols.items():
-                batch[name] = values
-            return batch
-        if isinstance(batch, pa.Table):
-            col = batch[self.text_column]
-            arr = col.combine_chunks() if isinstance(
-                col, pa.ChunkedArray) else col
-            for name, values in self._score(arr).items():
-                batch = batch.append_column(name, pa.array(values))
-            return batch
-        text_arr = pa.array(batch[self.text_column].fillna(""),
-                            type=pa.string())
-        cols = self._score(text_arr)
-        batch = batch.copy()
-        for name, values in cols.items():
-            batch[name] = values
-        return batch
+        text = batch_text(batch, self.text_column)
+        return with_columns(batch, self._score(text) if self.kenlm is None
+                            else self._score_kenlm(text.to_pylist()))
 
 
 def train_bigram_model(ds, text_column: str = "text",
@@ -399,21 +372,8 @@ class BigramScorer:
                 "unseen_bigrams": unseen}
 
     def __call__(self, batch):
-        import pyarrow as pa
-        if isinstance(batch, pa.Table):
-            col = batch[self.text_column]
-            arr = col.combine_chunks() if isinstance(
-                col, pa.ChunkedArray) else col
-            for name, values in self._score(arr).items():
-                batch = batch.append_column(name, pa.array(values))
-            return batch
-        text_arr = pa.array(batch[self.text_column].fillna(""),
-                            type=pa.string())
-        cols = self._score(text_arr)
-        batch = batch.copy()
-        for name, values in cols.items():
-            batch[name] = values
-        return batch
+        return with_columns(batch,
+                            self._score(batch_text(batch, self.text_column)))
 
 
 def train_kn_model(ds, text_column: str = "text",
@@ -533,21 +493,8 @@ class KNScorer:
                 "unseen_bigrams": unseen}
 
     def __call__(self, batch):
-        import pyarrow as pa
-        if isinstance(batch, pa.Table):
-            col = batch[self.text_column]
-            arr = col.combine_chunks() if isinstance(
-                col, pa.ChunkedArray) else col
-            for name, values in self._score(arr).items():
-                batch = batch.append_column(name, pa.array(values))
-            return batch
-        text_arr = pa.array(batch[self.text_column].fillna(""),
-                            type=pa.string())
-        cols = self._score(text_arr)
-        batch = batch.copy()
-        for name, values in cols.items():
-            batch[name] = values
-        return batch
+        return with_columns(batch,
+                            self._score(batch_text(batch, self.text_column)))
 
 
 def train_backoff_model(ds, text_column: str = "text",
@@ -757,18 +704,5 @@ class BackoffScorer:
                 "unseen_trigrams": unseen}
 
     def __call__(self, batch):
-        import pyarrow as pa
-        if isinstance(batch, pa.Table):
-            col = batch[self.text_column]
-            arr = col.combine_chunks() if isinstance(
-                col, pa.ChunkedArray) else col
-            for name, values in self._score(arr).items():
-                batch = batch.append_column(name, pa.array(values))
-            return batch
-        text_arr = pa.array(batch[self.text_column].fillna(""),
-                            type=pa.string())
-        cols = self._score(text_arr)
-        batch = batch.copy()
-        for name, values in cols.items():
-            batch[name] = values
-        return batch
+        return with_columns(batch,
+                            self._score(batch_text(batch, self.text_column)))

@@ -2,8 +2,9 @@
 
 The web analog of the reference's ``regex`` rule bank
 (docs/data-quality-rule-definition-guidelines.md:230-244): a compiled set
-of patterns applied per batch with ``Series.str.replace`` /
-``Series.str.count`` (C-speed, no row loop). Patterns are RE2-compatible
+of patterns applied per batch with Arrow's RE2 kernels
+(``replace_substring_regex`` / ``count_substring_regex``: C-speed, no
+row loop). Patterns are RE2-compatible
 (no lookaround) so the DuckDB oracle can run the byte-identical
 replacement with ``regexp_replace(..., 'g')``.
 
@@ -19,6 +20,9 @@ import re
 from typing import List, Optional, Tuple
 
 import numpy as np
+
+from nacc_form_validator_ray.stages.text_signals import (batch_text,
+                                                         with_columns)
 
 #: (name, pattern, replacement) applied IN ORDER — order is part of the
 #: contract (an email scrub must not leave digits for the phone scrub).
@@ -92,9 +96,6 @@ class Scrubber:
         entirely in C (RE2), no Python string materialization."""
         import pyarrow as pa
         import pyarrow.compute as pc
-        text = pc.fill_null(text, "")
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
         n = len(text)
         dirty = pc.match_substring_regex(text, pattern=self.any_pattern) \
             .to_numpy(zero_copy_only=False)
@@ -117,23 +118,7 @@ class Scrubber:
         return out, counts, total
 
     def __call__(self, batch):
-        import pyarrow as pa
-        if isinstance(batch, pa.Table):
-            col = batch[self.text_column]
-            arr = col.combine_chunks() if isinstance(
-                col, pa.ChunkedArray) else col
-            text, counts, total = self._core(arr)
-            for name, hits in counts.items():
-                batch = batch.append_column(name, pa.array(hits))
-            batch = batch.append_column(self.output_column, text)
-            batch = batch.append_column("n_redactions", pa.array(total))
-            return batch
-        arr = pa.array(batch[self.text_column].fillna(""),
-                       type=pa.string())
-        text, counts, total = self._core(arr)
-        batch = batch.copy()
-        for name, hits in counts.items():
-            batch[name] = hits
-        batch[self.output_column] = text.to_numpy(zero_copy_only=False)
-        batch["n_redactions"] = total
-        return batch
+        text, counts, total = self._core(
+            batch_text(batch, self.text_column))
+        return with_columns(batch, {**counts, self.output_column: text,
+                                    "n_redactions": total})

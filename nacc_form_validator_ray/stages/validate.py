@@ -5,7 +5,8 @@
 pipeline::
 
     read_parquet → map_batches(ValidateStage)          # local rules
-                 → groupby(pk).map_groups(temporal)    # only if needed
+                 → grouped_apply(pk, temporal)         # only if needed:
+                                                       #   one hash exchange
                  → write_parquet / filter / aggregate
 
 Appended columns: ``passed: bool``, ``sys_failure: bool``,
@@ -16,8 +17,10 @@ Scale notes:
 * ValidateStage is a callable class: the compiled schema ships once per
   actor (``__init__``), batches stream through ``__call__`` zero-copy
   until the pandas conversion.
-* Only schemas with temporal rules pay a shuffle, and it is ONE shuffle
-  on the primary key; everything else is embarrassingly parallel.
+* Only schemas with temporal rules pay a shuffle, and it is ONE hash
+  exchange on the primary key (``stages/partition.grouped_apply``):
+  each reduce partition groups its subjects and runs the temporal rules
+  on them; everything else is embarrassingly parallel.
 """
 
 from __future__ import annotations

@@ -129,8 +129,12 @@ def _doc_ids(out):
 
 
 def test_pretrain_text_only_and_jsonl_dumps(tmp_path):
-    """The same pages as html parquet, as text-only parquet and as a
-    JSONL text dump give the same documents."""
+    """The same pages as html parquet, as text-only parquet, as a JSONL
+    text dump, as a JSONL html dump (html as a string) and as a JSONL
+    text dump with fractional-second ``warc_ts`` strings give the same
+    documents; the quality filter gives the same counts on the JSONL
+    dumps and types their ``warc_ts`` as the page schema's
+    ``timestamp[us]``."""
     df = generate_pages(120, seed=33).to_pandas()
     html = tmp_path / "html"
     html.mkdir()
@@ -146,14 +150,36 @@ def test_pretrain_text_only_and_jsonl_dumps(tmp_path):
     # whole-second timestamps, as Arrow's JSON reader infers them
     df.drop(columns=["html"]).assign(warc_ts=df["warc_ts"].astype(str)) \
         .to_json(jsonl / "pages.jsonl", orient="records", lines=True)
+    jsonl_html = tmp_path / "jsonl_html"
+    jsonl_html.mkdir()
+    df.drop(columns=["text"]).assign(
+        html=df["html"].map(bytes.decode),
+        warc_ts=df["warc_ts"].astype(str)) \
+        .to_json(jsonl_html / "pages.jsonl", orient="records", lines=True)
+    jsonl_ms = tmp_path / "jsonl_ms"
+    jsonl_ms.mkdir()
+    # pandas' ISO dates carry milliseconds: 2025-01-01T00:00:00.000
+    df.drop(columns=["html"]).to_json(jsonl_ms / "pages.jsonl",
+                                      orient="records", lines=True,
+                                      date_format="iso")
     want = run_pretrain(str(html), str(tmp_path / "o_html"), clock=CLOCK)
     assert want["n_output"] > 0
-    for src in (text, jsonl):
+    for src in (text, jsonl, jsonl_html, jsonl_ms):
         out = str(tmp_path / f"o_{src.name}")
         got = run_pretrain(str(src), out, clock=CLOCK)
         assert (got["n_input"], got["n_output"]) == \
             (want["n_input"], want["n_output"])
         assert _doc_ids(out) == _doc_ids(str(tmp_path / "o_html"))
+    counts = ("n_rows", "n_kept", "rule_hits")
+    want = run_quality_filter(str(html), str(tmp_path / "q_html"),
+                              clock=CLOCK)
+    for src in (jsonl_html, jsonl_ms):
+        out = tmp_path / f"q_{src.name}"
+        got = run_quality_filter(str(src), str(out), clock=CLOCK)
+        assert {k: got[k] for k in counts} == {k: want[k] for k in counts}
+        part = next(out.rglob("*.parquet"))
+        assert pq.read_schema(part).field("warc_ts").type == \
+            pa.timestamp("us")
 
 
 def _code(path):
