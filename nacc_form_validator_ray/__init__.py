@@ -40,4 +40,4 @@ __all__ = [
     "compare_values",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"

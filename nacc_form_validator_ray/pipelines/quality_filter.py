@@ -185,9 +185,8 @@ def page_columns(files: List[str], fmt: str) -> List[str]:
 def read_pages(files: List[str], fmt: str, columns: List[str]):
     """Read the page ``columns`` of ``files`` (the one page read of
     ``run_quality_filter`` and ``run_pretrain``). JSON has no timestamp
-    type: Arrow's reader types an ISO ``warc_ts`` as a timestamp only
-    without fractional seconds, so a JSONL ``warc_ts`` is cast to the
-    page schema's ``timestamp[us]`` (``webgen``), which parses both."""
+    type, so a JSONL ``warc_ts`` is given the page schema's
+    ``timestamp[us]`` (``webgen``) by :func:`_page_warc_ts`."""
     ds = readers.read_files(files, fmt, columns)
     if fmt != "json" or "warc_ts" not in columns:
         return ds
@@ -195,8 +194,29 @@ def read_pages(files: List[str], fmt: str, columns: List[str]):
 
 
 def _page_warc_ts(t: pa.Table) -> pa.Table:
-    return t.set_column(t.schema.get_field_index("warc_ts"), "warc_ts",
-                        pc.cast(t["warc_ts"], pa.timestamp("us")))
+    """A JSON ``warc_ts`` column as ``timestamp[us]``. Arrow's reader
+    types an ISO string as a timestamp only without fractional seconds;
+    the rest stay strings, which are parsed here, a zone suffix
+    (``...00.565Z``, ``+02:00``) as that instant in UTC, as the reader
+    does for whole seconds. A number is epoch milliseconds, what
+    pandas' ``to_json`` writes by default. Any other type raises."""
+    col, us = t["warc_ts"], pa.timestamp("us")
+    if pa.types.is_timestamp(col.type) or pa.types.is_null(col.type):
+        ts = pc.cast(col, us)
+    elif pa.types.is_integer(col.type):
+        ts = col.cast(pa.int64()).cast(pa.timestamp("ms")).cast(us)
+    elif pa.types.is_string(col.type):
+        zoned = pc.match_substring_regex(
+            col, r"[T ]\d.*(Z|[+-]\d\d(:?\d\d)?)$")
+        none = pa.scalar(None, pa.string())
+        aware = pc.cast(pc.if_else(zoned, col, none),
+                        pa.timestamp("us", "UTC"))
+        ts = pc.coalesce(pc.cast(aware, us),
+                         pc.cast(pc.if_else(zoned, none, col), us))
+    else:
+        raise ValueError(f"warc_ts: cannot read JSON type {col.type} as "
+                         f"a timestamp (want ISO strings or epoch ms)")
+    return t.set_column(t.schema.get_field_index("warc_ts"), "warc_ts", ts)
 
 
 def run_quality_filter(input_dir: str,

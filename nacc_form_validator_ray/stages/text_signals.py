@@ -796,9 +796,7 @@ class LangId:
             self.lang_order, self.banks = load_fasttext_wordlists(
                 bank_path)
         else:
-            self.lang_order = list(LANG_ORDER)
-            self.banks = {lang: np.array(STOPWORDS[lang], dtype=object)
-                          for lang in LANG_ORDER}
+            self.lang_order, self.banks = LANG_ORDER, STOPWORDS
 
     def __call__(self, batch):
         import pyarrow.compute as pc

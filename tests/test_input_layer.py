@@ -130,10 +130,11 @@ def _doc_ids(out):
 
 def test_pretrain_text_only_and_jsonl_dumps(tmp_path):
     """The same pages as html parquet, as text-only parquet, as a JSONL
-    text dump, as a JSONL html dump (html as a string) and as a JSONL
-    text dump with fractional-second ``warc_ts`` strings give the same
-    documents; the quality filter gives the same counts on the JSONL
-    dumps and types their ``warc_ts`` as the page schema's
+    text dump, as a JSONL html dump (html as a string) and as JSONL text
+    dumps whose ``warc_ts`` are fractional-second ISO strings, zoned
+    ISO strings or pandas' default epoch milliseconds give the same
+    documents; the quality filter gives the same counts and the same
+    ``warc_ts`` instants on the JSONL dumps, typed as the page schema's
     ``timestamp[us]``."""
     df = generate_pages(120, seed=33).to_pandas()
     html = tmp_path / "html"
@@ -162,9 +163,21 @@ def test_pretrain_text_only_and_jsonl_dumps(tmp_path):
     df.drop(columns=["html"]).to_json(jsonl_ms / "pages.jsonl",
                                       orient="records", lines=True,
                                       date_format="iso")
+    jsonl_zoned = tmp_path / "jsonl_zoned"
+    jsonl_zoned.mkdir()
+    # WARC/1.1 dates may carry a fraction and a zone: ...00.000000Z
+    df.drop(columns=["html"]).assign(
+        warc_ts=df["warc_ts"].dt.strftime("%Y-%m-%dT%H:%M:%S.%fZ")) \
+        .to_json(jsonl_zoned / "pages.jsonl", orient="records", lines=True)
+    jsonl_epoch = tmp_path / "jsonl_epoch"
+    jsonl_epoch.mkdir()
+    # pandas' default date_format="epoch" writes int64 milliseconds
+    df.drop(columns=["html"]).to_json(jsonl_epoch / "pages.jsonl",
+                                      orient="records", lines=True)
+    dumps = (jsonl_html, jsonl_ms, jsonl_zoned, jsonl_epoch)
     want = run_pretrain(str(html), str(tmp_path / "o_html"), clock=CLOCK)
     assert want["n_output"] > 0
-    for src in (text, jsonl, jsonl_html, jsonl_ms):
+    for src in (text, jsonl) + dumps:
         out = str(tmp_path / f"o_{src.name}")
         got = run_pretrain(str(src), out, clock=CLOCK)
         assert (got["n_input"], got["n_output"]) == \
@@ -173,13 +186,22 @@ def test_pretrain_text_only_and_jsonl_dumps(tmp_path):
     counts = ("n_rows", "n_kept", "rule_hits")
     want = run_quality_filter(str(html), str(tmp_path / "q_html"),
                               clock=CLOCK)
-    for src in (jsonl_html, jsonl_ms):
+    want_ts = _url_ts(tmp_path / "q_html")
+    for src in dumps:
         out = tmp_path / f"q_{src.name}"
         got = run_quality_filter(str(src), str(out), clock=CLOCK)
         assert {k: got[k] for k in counts} == {k: want[k] for k in counts}
         part = next(out.rglob("*.parquet"))
         assert pq.read_schema(part).field("warc_ts").type == \
             pa.timestamp("us")
+        assert _url_ts(out) == want_ts, src.name
+
+
+def _url_ts(out):
+    return sorted(
+        (u, t) for p in out.rglob("*.parquet")
+        for u, t in zip(*pq.read_table(p, columns=["url", "warc_ts"])
+                        .to_pydict().values()))
 
 
 def _code(path):
