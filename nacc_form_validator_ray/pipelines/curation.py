@@ -529,18 +529,19 @@ def q_vocab_freq_spectrum(sf_dir: str) -> pd.DataFrame:
     Zipf corpus shows geometrically decaying bucket populations; a
     bucket spike reveals templated spam or a truncated crawl).
 
-    Scale shape: per-batch (token, c) combiners (dictionary-encoded,
-    no Python loop), ONE hash exchange on token so each token's counts
-    merge fully inside one partition, then <= 64-row (bucket, tokens,
-    occurrences) partials merged on the driver. The floor-log2 is the
-    integer bit-length (advanced._floor_log2_u64), never float log2."""
+    Scale shape: per-batch (token, c) combiners
+    (``text_signals.ngram_counts``), ONE hash exchange on token so each
+    token's counts merge fully inside one partition, then <= 64-row
+    (bucket, tokens, occurrences) partials merged on the driver. The
+    floor-log2 is the integer bit-length (advanced._floor_log2_u64),
+    never float log2."""
     import pyarrow as pa
 
     from nacc_form_validator_ray.pipelines.advanced import \
         _floor_log2_u64
     from nacc_form_validator_ray.stages.partition import grouped_apply
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     empty = pd.DataFrame({
         "bucket": pd.Series([], dtype=np.int64),
@@ -550,16 +551,9 @@ def q_vocab_freq_spectrum(sf_dir: str) -> pd.DataFrame:
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["text"])
 
-    def count_partial(t: "pa.Table") -> pd.DataFrame:
-        codes, dictionary, _, _ = arrow_token_codes(t["text"])
-        if dictionary is None or not len(codes):
-            return pd.DataFrame({"tok": pd.Series([], dtype=object),
-                                 "c": pd.Series([], dtype=np.int64)})
-        cnt = np.bincount(codes, minlength=len(dictionary))
-        nz = np.flatnonzero(cnt)
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        return pd.DataFrame({"tok": toks[nz],
-                             "c": cnt[nz].astype(np.int64)})
+    def count_partial(t: "pa.Table") -> "pa.Table":
+        return ngram_counts(arrow_token_codes(t["text"])) \
+            .rename_columns(["tok", "c"])
 
     def spectrum_partial(part: pd.DataFrame) -> pd.DataFrame:
         if part.empty:
@@ -1985,8 +1979,9 @@ def q_source_kl_divergence(sf_dir: str) -> pd.DataFrame:
     ``c_sw * N < 2^63`` (~3e9 tokens) — past that move both engines to
     the identical scaled formulation.
 
-    Scale shape: one tokenizing pass emits (source, tok, c) partials,
-    ONE grouped exchange merges them; the vocabulary-bounded per-token
+    Scale shape: one tokenizing pass emits (source, tok, c) partials
+    (``text_signals.ngram_counts`` keyed by source, null as ''), ONE
+    grouped exchange merges them; the vocabulary-bounded per-token
     corpus counts are pulled once and broadcast back (ray.put — the
     pmi/perplexity-model pattern) while KL accumulation stays
     distributed; per-source totals are a low-cardinality driver merge.
@@ -1997,8 +1992,8 @@ def q_source_kl_divergence(sf_dir: str) -> pd.DataFrame:
     from nacc_form_validator_ray.pipelines.queries import (
         _docs, _merge_partials)
     from nacc_form_validator_ray.stages.partition import grouped_agg_sum
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     empty = pd.DataFrame({
         "source": pd.Series([], dtype=object),
@@ -2007,22 +2002,9 @@ def q_source_kl_divergence(sf_dir: str) -> pd.DataFrame:
 
     def count_partial(t: "pa.Table") -> "pa.Table":
         import pyarrow.compute as pc
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or not len(codes):
-            return pa.table({"source": pa.array([], type=pa.string()),
-                             "tok": pa.array([], type=pa.string()),
-                             "c": pa.array([], type=pa.int64())})
-        src = pc.fill_null(t["source"], "")
-        senc = pc.dictionary_encode(src.combine_chunks())
-        scode = senc.indices.to_numpy().astype(np.int64)[tok_doc]
-        pair = (scode << 32) | codes.astype(np.int64)
-        up, cnt = np.unique(pair, return_counts=True)
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        snames = senc.dictionary.to_numpy(zero_copy_only=False)
-        return pa.table({
-            "source": snames[(up >> 32).astype(np.int64)],
-            "tok": toks[(up & 0xFFFFFFFF).astype(np.int64)],
-            "c": cnt.astype(np.int64)})
+        return ngram_counts(arrow_token_codes(t["text"]),
+                            by=pc.fill_null(t["source"], "")) \
+            .rename_columns(["source", "tok", "c"])
 
     ds = _docs(sf_dir, columns=["source", "text"])
     merged = grouped_agg_sum(
@@ -2289,11 +2271,13 @@ def q_term_burstiness(sf_dir: str) -> pd.DataFrame:
     driver merge — the merged table holds each token exactly once, so
     the per-partition cut preserves the global top-K."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
     from nacc_form_validator_ray.pipelines.queries import _docs
-    from nacc_form_validator_ray.stages.partition import grouped_agg_sum
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.partition import (grouped_agg_sum,
+                                                          pa_grouped_agg)
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     empty = pd.DataFrame({
         "tok": pd.Series([], dtype=object),
@@ -2302,22 +2286,13 @@ def q_term_burstiness(sf_dir: str) -> pd.DataFrame:
         "vmr": pd.Series([], dtype=np.float64)})
 
     def moment_partial(t: "pa.Table") -> "pa.Table":
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or not len(codes):
-            return pa.table({"tok": pa.array([], type=pa.string()),
-                             "c": pa.array([], type=pa.int64()),
-                             "c2": pa.array([], type=pa.int64())})
-        pair = (tok_doc.astype(np.int64) << 32) | codes.astype(np.int64)
-        up, cnt = np.unique(pair, return_counts=True)
-        code = (up & 0xFFFFFFFF).astype(np.int64)
-        nv = len(dictionary)
-        sx = np.zeros(nv, dtype=np.int64)
-        sx2 = np.zeros(nv, dtype=np.int64)
-        np.add.at(sx, code, cnt)
-        np.add.at(sx2, code, cnt * cnt)
-        nz = np.flatnonzero(sx)
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        return pa.table({"tok": toks[nz], "c": sx[nz], "c2": sx2[nz]})
+        # per-(doc, token) counts, then their sum and sum of squares
+        dt = ngram_counts(arrow_token_codes(t["text"]),
+                          by=pa.array(np.arange(t.num_rows)))
+        m = pa.table({"tok": dt["w1"], "c": dt["count"],
+                      "c2": pc.multiply(dt["count"], dt["count"])})
+        return pa_grouped_agg(m, ["tok"], [("c", "sum"), ("c2", "sum")],
+                              ["c", "c2"])
 
     ds = _docs(sf_dir, columns=["text"])
     n_docs = np.int64(ds.count())
@@ -2627,8 +2602,8 @@ def q_hapax_ratio_by_source(sf_dir: str) -> pd.DataFrame:
     spikes is shipping typos, mojibake or unsegmented strings; one
     whose share collapses is templated spam).
 
-    Scale shape: per-batch dictionary-encoded (source, token, c)
-    combiners (vocab_freq_spectrum's kernel, keyed by source), ONE
+    Scale shape: per-batch (source, token, c) combiners
+    (``text_signals.ngram_counts`` keyed by source), ONE
     hash exchange on token so each (source, token)'s counts merge
     fully inside one partition, then a <= |sources|-row partial per
     partition merged on the driver. The share is ONE correctly-rounded
@@ -2636,8 +2611,8 @@ def q_hapax_ratio_by_source(sf_dir: str) -> pd.DataFrame:
     import pyarrow as pa
 
     from nacc_form_validator_ray.stages.partition import grouped_apply
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     empty = pd.DataFrame({
         "source": pd.Series([], dtype=object),
@@ -2649,25 +2624,10 @@ def q_hapax_ratio_by_source(sf_dir: str) -> pd.DataFrame:
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["source", "text"])
 
-    def count_partial(t: "pa.Table") -> pd.DataFrame:
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or not len(codes):
-            return pd.DataFrame({
-                "source": pd.Series([], dtype=object),
-                "tok": pd.Series([], dtype=object),
-                "c": pd.Series([], dtype=np.int64)})
-        src = t["source"].to_numpy(zero_copy_only=False)
-        # (source_code, token_code) composite counts in one bincount
-        src_codes, src_uniq = pd.factorize(src[tok_doc])
-        comp = src_codes.astype(np.int64) * len(dictionary) \
-            + codes.astype(np.int64)
-        cnt = np.bincount(comp)
-        nz = np.flatnonzero(cnt)
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        return pd.DataFrame({
-            "source": src_uniq[(nz // len(dictionary))],
-            "tok": toks[nz % len(dictionary)],
-            "c": cnt[nz].astype(np.int64)})
+    def count_partial(t: "pa.Table") -> "pa.Table":
+        return ngram_counts(arrow_token_codes(t["text"]),
+                            by=t["source"]) \
+            .rename_columns(["source", "tok", "c"])
 
     def hapax_partial(part: pd.DataFrame) -> pd.DataFrame:
         if part.empty:
@@ -3420,51 +3380,29 @@ def q_distinct_ngram_ratio(sf_dir: str) -> pd.DataFrame:
     repeats even when each document looks fine).
 
     Shape: per-batch (source, bigram) count partials
-    (dictionary-coded, no Python loop) -> ONE grouped-sum exchange ->
-    per-partition (distinct, total) partials -> driver merge of
-    O(sources x partitions) rows. At 100 TB swap the bigram strings
-    for 64-bit hashes on the exchange (the dup_ngram_spans_hashed
-    lesson) — same plan, smaller wire."""
+    (``text_signals.ngram_counts`` keyed by source) -> ONE grouped-sum
+    exchange -> per-partition (distinct, total) partials -> driver
+    merge of O(sources x partitions) rows. At 100 TB swap the bigram
+    strings for 64-bit hashes on the exchange (the
+    dup_ngram_spans_hashed lesson) — same plan, smaller wire."""
     import pyarrow as pa
 
     from nacc_form_validator_ray.pipelines.queries import _merge_partials
     from nacc_form_validator_ray.stages.partition import grouped_agg_sum
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["source", "text"])
 
     def count_partial(t: "pa.Table") -> "pa.Table":
-        empty = pa.table({"source": pa.array([], type=pa.string()),
-                          "b": pa.array([], type=pa.string()),
-                          "c": pa.array([], type=pa.int64())})
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or len(codes) < 2:
-            return empty
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        src = t["source"].to_numpy(zero_copy_only=False)
-        same_doc = tok_doc[1:] == tok_doc[:-1]
-        if not same_doc.any():
-            return empty
-        a = codes[:-1][same_doc].astype(np.int64)
-        b = codes[1:][same_doc].astype(np.int64)
-        doc = tok_doc[:-1][same_doc]
-        # source is low-cardinality: encode to small ints, pack with
-        # the pair into one int64 key for a single np.unique pass
-        usrc, sidx = np.unique(src[doc], return_inverse=True)
-        # bit budget: 11 source bits + 2x26 token bits in one int64
-        assert len(usrc) < (1 << 11) and len(toks) < (1 << 26), \
-            "distinct_ngram_ratio: batch exceeds the int64 pack budget"
-        key = (sidx.astype(np.int64) << 52) | (a << 26) | b
-        uk, cnt = np.unique(key, return_counts=True)
-        w1 = toks[((uk >> 26) & ((1 << 26) - 1)).astype(np.int64)]
-        w2 = toks[(uk & ((1 << 26) - 1)).astype(np.int64)]
-        bi = np.array([f"{x} {y}" for x, y in zip(w1, w2)],
-                      dtype=object)
+        import pyarrow.compute as pc
+        bg = ngram_counts(arrow_token_codes(t["text"]), 2,
+                          by=t["source"])
         return pa.table({
-            "source": pa.array(usrc[(uk >> 52).astype(np.int64)]),
-            "b": pa.array(bi), "c": pa.array(cnt.astype(np.int64))})
+            "source": bg["by"],
+            "b": pc.binary_join_element_wise(bg["w1"], bg["w2"], " "),
+            "c": bg["count"]})
 
     merged = grouped_agg_sum(
         ds.map_batches(count_partial, batch_format="pyarrow"),

@@ -1177,44 +1177,24 @@ def q_skipgram_counts(sf_dir: str) -> pd.DataFrame:
     0 < j - i <= 3 within a document, counted over the corpus — the
     co-occurrence statistic every embedding trainer (word2vec/GloVe)
     consumes. Same fabric as pmi_bigrams: one tokenizing pass emits
-    dictionary-coded pair-packed int64 partials per distance shift (no
-    Python loop), ONE grouped-sum exchange merges counts, per-partition
-    top-k partials bound the driver merge."""
+    one skip-pair count partial per distance
+    (``text_signals.ngram_counts`` with ``gap=d``), ONE grouped-sum
+    exchange merges counts, per-partition top-k partials bound the
+    driver merge."""
     import pyarrow as pa
 
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["text"])
 
     def count_partial(t: "pa.Table") -> "pa.Table":
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        empty = pa.table({"w1": pa.array([], type=pa.string()),
-                          "w2": pa.array([], type=pa.string()),
-                          "c": pa.array([], type=pa.int64())})
-        if dictionary is None or not len(codes):
-            return empty
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        w1, w2, cs = [], [], []
-        for d in range(1, _SG_WINDOW + 1):
-            if len(codes) <= d:
-                break
-            same_doc = tok_doc[d:] == tok_doc[:-d]
-            if not same_doc.any():
-                continue
-            a = codes[:-d][same_doc].astype(np.int64)
-            b = codes[d:][same_doc].astype(np.int64)
-            pair = (a << 32) | b
-            up, pcnt = np.unique(pair, return_counts=True)
-            w1.append(toks[(up >> 32).astype(np.int64)])
-            w2.append(toks[(up & 0xFFFFFFFF).astype(np.int64)])
-            cs.append(pcnt.astype(np.int64))
-        if not w1:
-            return empty
-        return pa.table({"w1": np.concatenate(w1),
-                         "w2": np.concatenate(w2),
-                         "c": np.concatenate(cs)})
+        tokens = arrow_token_codes(t["text"])
+        return pa.concat_tables([
+            ngram_counts(tokens, 2, gap=d)
+            for d in range(1, _SG_WINDOW + 1)]) \
+            .rename_columns(["w1", "w2", "c"])
 
     return _grouped_topk(
         ds.map_batches(count_partial, batch_format="pyarrow"),
@@ -1759,36 +1739,21 @@ def q_next_word_top1(sf_dir: str) -> pd.DataFrame:
     """Most frequent next word per word (the autocomplete/bigram-LM
     argmax): for each w1, the w2 with the highest adjacent-bigram
     count, ties broken lexicographically, kept where the winning count
-    >= 5. The grouped-argmax shape: per-batch dictionary-coded bigram
-    count partials, ONE exchange on w1 ALONE (so every w2 for a word
-    co-locates), per-partition merge + stable argmax."""
+    >= 5. The grouped-argmax shape: per-batch bigram count partials
+    (``text_signals.ngram_counts``), ONE exchange on w1 ALONE (so every
+    w2 for a word co-locates), per-partition merge + stable argmax."""
     import pyarrow as pa
 
     from nacc_form_validator_ray.stages.partition import grouped_apply
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["text"])
 
     def count_partial(t: "pa.Table") -> "pa.Table":
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        empty = pa.table({"w1": pa.array([], type=pa.string()),
-                          "w2": pa.array([], type=pa.string()),
-                          "c": pa.array([], type=pa.int64())})
-        if dictionary is None or len(codes) < 2:
-            return empty
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        same_doc = tok_doc[1:] == tok_doc[:-1]
-        if not same_doc.any():
-            return empty
-        a = codes[:-1][same_doc].astype(np.int64)
-        b = codes[1:][same_doc].astype(np.int64)
-        pair = (a << 32) | b
-        up, pcnt = np.unique(pair, return_counts=True)
-        return pa.table({"w1": toks[(up >> 32).astype(np.int64)],
-                         "w2": toks[(up & 0xFFFFFFFF).astype(np.int64)],
-                         "c": pcnt.astype(np.int64)})
+        return ngram_counts(arrow_token_codes(t["text"]), 2) \
+            .rename_columns(["w1", "w2", "c"])
 
     def argmax_part(part: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({"w1": pd.Series([], dtype=object),
@@ -2367,26 +2332,17 @@ def q_top_terms_per_lang(sf_dir: str) -> pd.DataFrame:
     import pyarrow as pa
 
     from nacc_form_validator_ray.stages.partition import grouped_apply
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["text", "lang"])
 
-    def count_partial(t: "pa.Table") -> pd.DataFrame:
+    def count_partial(t: "pa.Table") -> "pa.Table":
         import pyarrow.compute as pc
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        empty = pd.DataFrame({"lang": pd.Series([], dtype=object),
-                              "tok": pd.Series([], dtype=object),
-                              "c": pd.Series([], dtype=np.int64)})
-        if dictionary is None or not len(codes):
-            return empty
-        langs = pc.fill_null(t["lang"], "").to_numpy(
-            zero_copy_only=False)
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"lang": langs[tok_doc],
-                           "tok": toks[codes], "c": 1})
-        return df.groupby(["lang", "tok"], as_index=False).sum()
+        return ngram_counts(arrow_token_codes(t["text"]),
+                            by=pc.fill_null(t["lang"], "")) \
+            .rename_columns(["lang", "tok", "c"])
 
     def topk_part(part: pd.DataFrame) -> pd.DataFrame:
         if part.empty:
@@ -3819,39 +3775,24 @@ def q_inverted_index_prefix(sf_dir: str) -> pd.DataFrame:
     actually materializes the per-term posting heads a serving index
     ships).
 
-    Per-batch: one arrow_token_codes pass, then (tok, doc) pairs
-    dedup'd via a single int64-keyed np.unique (each doc lives in
+    Per-batch: (doc_id, tok, occ) counts from
+    ``text_signals.ngram_counts`` keyed by doc_id (each doc lives in
     exactly one batch row, so per-batch pairs are globally distinct).
     ONE hash exchange on tok co-locates every term's postings; the
     per-partition pass is a lexsort + run-boundary reduceat for df/tot
     and a head-8 string join for the prefix."""
 
     from nacc_form_validator_ray.stages.partition import grouped_apply
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["doc_id", "text"])
 
-    empty_pairs = pd.DataFrame({
-        "tok": pd.Series([], dtype=object),
-        "doc_id": pd.Series([], dtype=np.int64),
-        "occ": pd.Series([], dtype=np.int64)})
-
-    def pairs(t) -> pd.DataFrame:
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or not len(codes):
-            return empty_pairs
-        n = t.num_rows
-        key = codes.astype(np.int64) * np.int64(n) + tok_doc
-        uk, occ = np.unique(key, return_counts=True)
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        return pd.DataFrame({
-            "tok": toks[(uk // n).astype(np.int64)],
-            "doc_id": doc_ids[(uk % n).astype(np.int64)],
-            "occ": occ.astype(np.int64)})
+    def pairs(t):
+        return ngram_counts(arrow_token_codes(t["text"]),
+                            by=t["doc_id"]) \
+            .rename_columns(["doc_id", "tok", "occ"])
 
     def postings(part: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -3933,8 +3874,8 @@ def q_distinctive_terms(sf_dir: str) -> pd.DataFrame:
     its tokens and emits only per-source top-5 candidates (full
     (dev DESC, tok) tiebreak makes the per-partition head lossless)."""
     from nacc_form_validator_ray.stages.partition import grouped_apply
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["source", "text"])
@@ -3945,20 +3886,11 @@ def q_distinctive_terms(sf_dir: str) -> pd.DataFrame:
         "c": pd.Series([], dtype=np.int64),
         "dev": pd.Series([], dtype=np.int64)})
 
-    def count_partial(t) -> pd.DataFrame:
+    def count_partial(t):
         import pyarrow.compute as pc
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or not len(codes):
-            return pd.DataFrame({
-                "source": pd.Series([], dtype=object),
-                "tok": pd.Series([], dtype=object),
-                "c": pd.Series([], dtype=np.int64)})
-        src = pc.fill_null(t["source"], "").to_numpy(
-            zero_copy_only=False)
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"source": src[tok_doc],
-                           "tok": toks[codes], "c": np.int64(1)})
-        return df.groupby(["source", "tok"], as_index=False).sum()
+        return ngram_counts(arrow_token_codes(t["text"]),
+                            by=pc.fill_null(t["source"], "")) \
+            .rename_columns(["source", "tok", "c"])
 
     partials = ds.map_batches(count_partial, batch_format="pyarrow") \
         .materialize()
@@ -5054,21 +4986,14 @@ def q_oov_rate_by_source(sf_dir: str) -> pd.DataFrame:
 
     from nacc_form_validator_ray.stages.partition import (grouped_apply,
                                                           pa_grouped_agg)
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     path = f"{sf_dir}/documents.parquet"
 
     def token_counts(t: "pa.Table") -> "pa.Table":
-        text = t["text"]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        codes, dic, _, _ = arrow_token_codes(text)
-        if dic is None:
-            return pa.table({"token": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64())})
-        cnt = np.bincount(codes, minlength=len(dic)).astype(np.int64)
-        return pa.table({"token": dic, "n": pa.array(cnt)})
+        return ngram_counts(arrow_token_codes(t["text"])) \
+            .rename_columns(["token", "n"])
 
     def local_topk(part: "pa.Table") -> pd.DataFrame:
         if part.num_rows == 0:

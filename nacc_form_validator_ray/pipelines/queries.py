@@ -3442,22 +3442,18 @@ def q_token_entropy_docs(sf_dir: str):
     import pyarrow as pa
 
     def entropy(batch: "pa.Table") -> "pa.Table":
-        from nacc_form_validator_ray.stages.text_signals import \
-            arrow_token_codes
-        col = batch["text"]
-        arr = col.combine_chunks() if isinstance(
-            col, pa.ChunkedArray) else col
-        n = len(arr)
-        codes, dictionary, tok_doc, lens = arrow_token_codes(arr)
+        from nacc_form_validator_ray.stages.text_signals import (
+            arrow_token_codes, ngram_counts)
+        n = batch.num_rows
+        tokens = arrow_token_codes(batch["text"])
+        codes, _, _, lens = tokens
         ent = np.zeros(n, dtype=np.float64)
         if len(codes):
-            V = len(dictionary)
-            key = tok_doc.astype(np.int64) * V + codes
-            upair, c = np.unique(key, return_counts=True)
-            c = c.astype(np.float64)
+            dt = ngram_counts(tokens, by=pa.array(np.arange(n)))
+            c = dt["count"].to_numpy().astype(np.float64)
             qlc = np.floor(np.log2(c) * 1048576.0 + 0.5) / 1048576.0
-            sc = np.bincount((upair // V).astype(np.int64),
-                             weights=c * qlc, minlength=n)
+            sc = np.bincount(dt["by"].to_numpy(), weights=c * qlc,
+                             minlength=n)
             T = lens.astype(np.float64)
             qlt = np.zeros(n, dtype=np.float64)
             nz = lens > 0
@@ -4918,8 +4914,9 @@ ORACLE_SQL["q13_customer_distribution"] = SQL_Q13_CUSTOMER_DISTRIBUTION
 def q_pmi_bigrams(sf_dir: str):
     """Collocation extraction: top-50 bigrams by pointwise mutual
     information. One tokenizing pass emits per-batch unigram AND
-    bigram count partials (dictionary-coded, pair-packed int64 —
-    no Python loop), one grouped-sum exchange merges them; the
+    bigram count partials in one table
+    (``text_signals.fused_ngram_counts``: unigram rows carry
+    ``w2 == ""``), one grouped-sum exchange merges them; the
     vocabulary-bounded unigram table (plus the total bigram mass) is
     pulled once and broadcast back (the perplexity-model pattern)
     while bigram scoring stays distributed with a per-partition
@@ -4932,35 +4929,13 @@ def q_pmi_bigrams(sf_dir: str):
     import ray
     import pyarrow as pa
     from nacc_form_validator_ray.stages.partition import grouped_agg_sum
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, fused_ngram_counts)
     MIN_C, K, GRID = 3, 50, 1048576.0
 
     def count_partial(t: "pa.Table") -> "pa.Table":
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or not len(codes):
-            return pa.table({"w1": pa.array([], type=pa.string()),
-                             "w2": pa.array([], type=pa.string()),
-                             "c": pa.array([], type=pa.int64())})
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        ucount = np.bincount(codes, minlength=len(toks)) \
-            .astype(np.int64)
-        nz = np.flatnonzero(ucount)
-        w1 = [toks[nz]]
-        w2 = [np.full(len(nz), "", dtype=object)]
-        cs = [ucount[nz]]
-        same_doc = tok_doc[1:] == tok_doc[:-1]
-        if same_doc.any():
-            a = codes[:-1][same_doc].astype(np.int64)
-            b = codes[1:][same_doc].astype(np.int64)
-            pair = (a << 32) | b
-            up, pcnt = np.unique(pair, return_counts=True)
-            w1.append(toks[(up >> 32).astype(np.int64)])
-            w2.append(toks[(up & 0xFFFFFFFF).astype(np.int64)])
-            cs.append(pcnt.astype(np.int64))
-        return pa.table({"w1": np.concatenate(w1),
-                         "w2": np.concatenate(w2),
-                         "c": np.concatenate(cs)})
+        return fused_ngram_counts(arrow_token_codes(t["text"]), 2) \
+            .rename_columns(["w1", "w2", "c"])
 
     ds = _docs(sf_dir, columns=["text"])
     merged = grouped_agg_sum(
@@ -6228,37 +6203,37 @@ def q_tfidf_topterms(sf_dir: str, k: int = 3):
     """Per-document top-k terms by tf-idf over the whole corpus.
 
     The idf side is the corpus document-frequency table: pass 1
-    reduces each batch to DISTINCT (doc, term) pairs and emits one
-    lean (term, df partial) row per term per batch, merged by a tiny
+    reduces each batch to DISTINCT (doc, term) pairs
+    (``text_signals.ngram_counts`` keyed by row) and emits one lean
+    (term, df partial) row per term per batch, merged by a tiny
     grouped sum (vocabulary-sized, NOT corpus-sized) and broadcast
-    back via ``ray.put``. Pass 2 re-streams the corpus, computes per
-    (doc, term) counts with dictionary codes (no Python strings), and
-    keeps each doc's top-k by the INTEGER score ``tf * 10^9 // df`` —
-    exact cross-engine, no log/float. 100-TB note: the broadcast
-    assumes the vocabulary fits a worker (natural-language vocabs do);
-    an unbounded term domain (e.g. raw shingles) should swap the
-    broadcast for a hash join on term.
+    back via ``ray.put``. Pass 2 re-streams the corpus, computes the
+    same per (doc, term) counts, and keeps each doc's top-k by the
+    INTEGER score ``tf * 10^9 // df`` — exact cross-engine, no
+    log/float. 100-TB note: the broadcast assumes the vocabulary fits
+    a worker (natural-language vocabs do); an unbounded term domain
+    (e.g. raw shingles) should swap the broadcast for a hash join on
+    term.
 
     Ties break toward the lexically smaller term (pure [a-z] tokens,
     so numpy bytewise order == DuckDB collation)."""
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     ds = _docs(sf_dir, columns=["doc_id", "text"])
 
+    def doc_term_counts(t: "pa.Table") -> "pa.Table":
+        """(by = row index, w1 = term, count = tf) of one batch."""
+        return ngram_counts(arrow_token_codes(t["text"]),
+                            by=pa.array(np.arange(t.num_rows)))
+
     def df_partial(t: "pa.Table") -> "pa.Table":
-        codes, vocab, tok_doc, _ = arrow_token_codes(t["text"])
-        if vocab is None:
-            return pa.table({"term": pa.array([], pa.string()),
-                             "df": pa.array([], pa.int64())})
-        pair = tok_doc.astype(np.int64) * len(vocab) + codes
-        uniq = np.unique(pair)
-        cnt = np.bincount((uniq % len(vocab)).astype(np.int64),
-                          minlength=len(vocab))
-        return pa.table({"term": vocab,
-                         "df": pa.array(cnt.astype(np.int64))})
+        vc = pc.value_counts(doc_term_counts(t)["w1"])
+        return pa.table({"term": vc.field("values"),
+                         "df": vc.field("counts")})
 
     df_tab = _merge_partials(
         ds.map_batches(df_partial, batch_format="pyarrow"),
@@ -6279,15 +6254,13 @@ def q_tfidf_topterms(sf_dir: str, k: int = 3):
                 "df": pa.array([], pa.int64()),
                 "score": pa.array([], pa.int64()),
                 "term_rank": pa.array([], pa.int64())})
-            codes, vocab, tok_doc, _ = arrow_token_codes(t["text"])
-            if vocab is None:
+            dt = doc_term_counts(t)
+            if not dt.num_rows:
                 return empty
             doc_ids = t["doc_id"].to_numpy(zero_copy_only=False)
-            pair = tok_doc.astype(np.int64) * len(vocab) + codes
-            uniq, tf = np.unique(pair, return_counts=True)
-            di = (uniq // len(vocab)).astype(np.int64)
-            ci = (uniq % len(vocab)).astype(np.int64)
-            terms = vocab.to_numpy(zero_copy_only=False)[ci]
+            di = dt["by"].to_numpy()
+            terms = dt["w1"].to_numpy(zero_copy_only=False)
+            tf = dt["count"].to_numpy()
             pos = np.searchsorted(self.terms, terms)
             df = self.df[pos]
             score = tf.astype(np.int64) * 1_000_000_000 // df

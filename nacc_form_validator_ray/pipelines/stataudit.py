@@ -55,20 +55,21 @@ def q_zipf_slope_by_source(sf_dir: str) -> pd.DataFrame:
     templated spam and keyword stuffing flatten the head, OCR noise
     steepens it).
 
-    Scale shape: per-batch dictionary-encoded (source, tok, c)
-    combiners (the hapax kernel), ONE hash exchange on token so each
-    (source, token)'s count is finalized inside one partition, a
-    per-partition top-K per source (<= K * |sources| rows each), and a
-    driver re-rank of the union — the global top-K per source is a
-    subset of the per-partition top-Ks, so the merge is exact. Moments
+    Scale shape: per-batch (source, tok, c) combiners
+    (``text_signals.ngram_counts`` keyed by source), ONE hash exchange
+    on token so each (source, token)'s count is finalized inside one
+    partition, a per-partition top-K per source (<= K * |sources| rows
+    each), and a driver re-rank of the union — the global top-K per
+    source is a subset of the per-partition top-Ks, so the merge is
+    exact. Moments
     are sums of dyadic-grid log values (module float discipline); the
     slope is one double expression over them, identical to the twin's.
     """
     import pyarrow as pa
 
     from nacc_form_validator_ray.stages.partition import grouped_apply
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     empty = pd.DataFrame({
         "source": pd.Series([], dtype=object),
@@ -79,24 +80,10 @@ def q_zipf_slope_by_source(sf_dir: str) -> pd.DataFrame:
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["source", "text"])
 
-    def count_partial(t: "pa.Table") -> pd.DataFrame:
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or not len(codes):
-            return pd.DataFrame({
-                "source": pd.Series([], dtype=object),
-                "tok": pd.Series([], dtype=object),
-                "c": pd.Series([], dtype=np.int64)})
-        src = t["source"].to_numpy(zero_copy_only=False)
-        src_codes, src_uniq = pd.factorize(src[tok_doc])
-        comp = src_codes.astype(np.int64) * len(dictionary) \
-            + codes.astype(np.int64)
-        cnt = np.bincount(comp)
-        nz = np.flatnonzero(cnt)
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        return pd.DataFrame({
-            "source": src_uniq[(nz // len(dictionary))],
-            "tok": toks[nz % len(dictionary)],
-            "c": cnt[nz].astype(np.int64)})
+    def count_partial(t: "pa.Table") -> "pa.Table":
+        return ngram_counts(arrow_token_codes(t["text"]),
+                            by=t["source"]) \
+            .rename_columns(["source", "tok", "c"])
 
     def topk_partial(part: pd.DataFrame) -> pd.DataFrame:
         if part.empty:
@@ -627,19 +614,20 @@ def q_next_word_accuracy_by_source(sf_dir: str) -> pd.DataFrame:
     prose sits far lower; a feed whose accuracy jumps between crawls
     changed its generator).
 
-    Scale shape: per-batch dictionary-coded (source, w1, w2, c)
-    partials, ONE hash exchange on w1 ALONE — every continuation of a
-    word co-locates, so each partition computes BOTH the corpus top-1
-    per w1 and the per-source correctness sums locally; only
-    <= |sources|-row partials reach the driver. The accuracy is ONE
-    double division over exact int64 sums."""
+    Scale shape: per-batch (source, w1, w2, c) partials
+    (``text_signals.ngram_counts`` keyed by source), ONE hash exchange
+    on w1 ALONE — every continuation of a word co-locates, so each
+    partition computes BOTH the corpus top-1 per w1 and the per-source
+    correctness sums locally; only <= |sources|-row partials reach the
+    driver. The accuracy is ONE double division over exact int64
+    sums."""
     import pyarrow as pa
 
     from nacc_form_validator_ray.pipelines.queries import \
         _merge_partials
     from nacc_form_validator_ray.stages.partition import grouped_apply
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, ngram_counts)
 
     empty = pd.DataFrame({
         "source": pd.Series([], dtype=object),
@@ -650,30 +638,10 @@ def q_next_word_accuracy_by_source(sf_dir: str) -> pd.DataFrame:
     ds = _rd().read_parquet(f"{sf_dir}/documents.parquet",
                             columns=["source", "text"])
 
-    def pair_partial(t: "pa.Table") -> pd.DataFrame:
-        e = pd.DataFrame({"source": pd.Series([], dtype=object),
-                          "w1": pd.Series([], dtype=object),
-                          "w2": pd.Series([], dtype=object),
-                          "c": pd.Series([], dtype=np.int64)})
-        codes, dictionary, tok_doc, _ = arrow_token_codes(t["text"])
-        if dictionary is None or len(codes) < 2:
-            return e
-        toks = dictionary.to_numpy(zero_copy_only=False)
-        src = t["source"].to_numpy(zero_copy_only=False)
-        same = tok_doc[1:] == tok_doc[:-1]
-        if not same.any():
-            return e
-        a = codes[:-1][same].astype(np.int64)
-        b = codes[1:][same].astype(np.int64)
-        sc, su = pd.factorize(src[tok_doc[:-1][same]])
-        D = np.int64(len(toks))
-        comp = (sc.astype(np.int64) * D + a) * D + b
-        up, cnt = np.unique(comp, return_counts=True)
-        return pd.DataFrame({
-            "source": su[(up // (D * D))],
-            "w1": toks[(up // D) % D],
-            "w2": toks[up % D],
-            "c": cnt.astype(np.int64)})
+    def pair_partial(t: "pa.Table") -> "pa.Table":
+        return ngram_counts(arrow_token_codes(t["text"]), 2,
+                            by=t["source"]) \
+            .rename_columns(["source", "w1", "w2", "c"])
 
     def acc_part(part: pd.DataFrame) -> pd.DataFrame:
         e = pd.DataFrame({"source": pd.Series([], dtype=object),

@@ -41,26 +41,18 @@ import numpy as np
 
 def word_counts(ds, text_column: str = "text",
                 num_partitions: int = 32):
-    """Distributed word-type frequency table: per-batch token count
-    partials (dictionary codes + bincount, no Python loop) merged by
-    ONE grouped-sum exchange. Returns a Dataset of (word, cnt)."""
-    import pyarrow as pa
-
+    """Distributed word-type frequency table: per-batch unigram count
+    partials (``text_signals.ngram_counts`` over the batch's token
+    codes; a null text has no words) merged by ONE grouped-sum
+    exchange. Returns a Dataset of (word, cnt)."""
     from nacc_form_validator_ray.stages.partition import grouped_agg_sum
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
+    from nacc_form_validator_ray.stages.text_signals import (
+        arrow_token_codes, batch_text, ngram_counts)
 
-    def partials(batch: "pa.Table") -> "pa.Table":
-        text = batch[text_column]
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        codes, dictionary, _, _ = arrow_token_codes(text)
-        if dictionary is None:
-            return pa.table({"word": pa.array([], pa.string()),
-                             "cnt": pa.array([], pa.int64())})
-        c = np.bincount(codes, minlength=len(dictionary))
-        return pa.table({"word": dictionary,
-                         "cnt": pa.array(c.astype(np.int64))})
+    def partials(batch):
+        return ngram_counts(arrow_token_codes(
+            batch_text(batch, text_column))).rename_columns(
+                ["word", "cnt"])
 
     return grouped_agg_sum(ds.map_batches(partials,
                                           batch_format="pyarrow"),

@@ -9,10 +9,11 @@ with those weights. Features here are the unigram tokens themselves
 to bound the feature space — at 100 TB the unigram vocab is
 Heaps-bounded and the model still broadcasts like the perplexity LM).
 
-One-pass training: a single tokenization produces per-batch
-``(token, c_raw, c_tgt)`` partials (the target corpus is a row subset,
-so both counts fall out of one ``bincount`` pass), one hash exchange
-merges them — the same fused shape as the bigram LM trainer. The
+One-pass training: a single tokenization per batch produces
+``(token, c_raw, c_tgt)`` partials — the target corpus is a row subset,
+so both counts fall out of ONE ``text_signals.ngram_counts`` call keyed
+by the per-row target flag — and one hash exchange merges them, the
+same fused shape as the bigram LM trainer. The
 merged vocab table is model-sized; each scoring actor resolves only
 its batch vocabulary against it.
 
@@ -30,37 +31,28 @@ import math
 from typing import Any, Dict
 
 import numpy as np
-import pandas as pd
 
 from nacc_form_validator_ray.stages.perplexity import quantize_logp
-from nacc_form_validator_ray.stages.text_signals import (batch_text,
-                                                         with_columns)
+from nacc_form_validator_ray.stages.text_signals import (
+    arrow_token_codes, batch_text, ngram_counts, with_columns)
 
 
-def _batch_pair_counts(batch: pd.DataFrame, text_column: str,
-                       select_column: str,
-                       select_value) -> pd.DataFrame:
-    """Per-batch (token, c_raw, c_tgt) partial counts — one shared
-    tokenization; the target count reuses the same code stream with a
-    per-token row mask."""
+def _batch_pair_counts(batch, text_column: str, select_column: str,
+                       select_value):
+    """Per-batch (token, c_raw, c_tgt) partial counts: the unigram
+    counts keyed by the row's target flag (``select_column ==
+    select_value``; a null never matches), so one tokenization yields
+    both. A token seen in target and non-target rows gives two rows;
+    the grouped sum merges them."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
-    arr = pa.array(batch[text_column].fillna(""), type=pa.string())
-    codes, dictionary, doc_id, _ = arrow_token_codes(arr)
-    if dictionary is None:
-        return pd.DataFrame({"token": pd.Series([], dtype=object),
-                             "c_raw": pd.Series([], dtype=np.int64),
-                             "c_tgt": pd.Series([], dtype=np.int64)})
-    tgt_row = (batch[select_column] == select_value).to_numpy()
-    c_raw = np.bincount(codes, minlength=len(dictionary))
-    c_tgt = np.bincount(codes[tgt_row[doc_id]],
-                        minlength=len(dictionary))
-    return pd.DataFrame({"token": np.asarray(dictionary.to_pylist(),
-                                             dtype=object),
-                         "c_raw": c_raw.astype(np.int64),
-                         "c_tgt": c_tgt.astype(np.int64)})
+    flag = pc.fill_null(pc.equal(batch[select_column],
+                                 pa.scalar(select_value)), False)
+    t = ngram_counts(arrow_token_codes(batch_text(batch, text_column)),
+                     by=flag)
+    return pa.table({"token": t["w1"], "c_raw": t["count"],
+                     "c_tgt": pc.if_else(t["by"], t["count"], 0)})
 
 
 def train_importance_model(ds, text_column: str = "text",
@@ -80,7 +72,7 @@ def train_importance_model(ds, text_column: str = "text",
     partials = ds.map_batches(
         lambda b: _batch_pair_counts(b, text_column, select_column,
                                      select_value),
-        batch_format="pandas")
+        batch_format="pyarrow")
     merged = grouped_agg_sum(partials, ["token"], ["c_raw", "c_tgt"],
                              num_partitions=16).to_pandas()
     full_totals = (int(merged["c_raw"].sum()),
@@ -127,8 +119,6 @@ class ImportanceScorer:
                               count=len(model["logratio"]))
 
     def _score(self, text_arr) -> Dict[str, np.ndarray]:
-        from nacc_form_validator_ray.stages.text_signals import \
-            arrow_token_codes
         n = len(text_arr)
         codes, dictionary, doc_id, lens = arrow_token_codes(text_arr)
         weight = np.zeros(n, dtype=np.float64)

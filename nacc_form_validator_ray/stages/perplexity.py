@@ -5,9 +5,9 @@ this container has no KenLM, so the same actor-pool shape runs an
 interpolated unigram/bigram model with add-k smoothing whose artifact is
 a plain dict (JSON-serializable). The plumbing is the point:
 
-* ``train_ngram_model`` — DISTRIBUTED counting: per-batch token/bigram
-  counts (factorize + bincount), one hash exchange to merge, small model
-  artifact returned to the driver;
+* ``train_ngram_model`` — DISTRIBUTED counting: per-batch unigram
+  counts over Arrow token codes (``text_signals.ngram_counts``), one
+  hash exchange to merge, small model artifact returned to the driver;
 * ``PerplexityScorer`` — map_batches callable; the model loads once per
   actor in ``__init__`` (pass ``model_path`` for the
   load-weights-per-actor pattern, or ``model`` inline) and scoring is a
@@ -21,29 +21,26 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
-import pandas as pd
 
-from nacc_form_validator_ray.stages.text_signals import (batch_text,
-                                                         with_columns)
+from nacc_form_validator_ray.stages.text_signals import (
+    arrow_token_codes, batch_text, fused_ngram_counts, ngram_counts,
+    pack_key, unpack_key, with_columns)
 
 
-def _batch_token_counts(batch: pd.DataFrame,
-                        text_column: str) -> pd.DataFrame:
-    import pyarrow as pa
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
-    arr = pa.array(batch[text_column].fillna(""), type=pa.string())
-    codes, dictionary, _, _ = arrow_token_codes(arr)
-    if dictionary is None:
-        return pd.DataFrame({"token": pd.Series([], dtype=object),
-                             "count": pd.Series([], dtype=np.int64)})
-    counts = np.bincount(codes, minlength=len(dictionary))
-    return pd.DataFrame({"token": np.asarray(dictionary.to_pylist(),
-                                             dtype=object),
-                         "count": counts.astype(np.int64)})
+def _ngram_lookup(table: Dict[str, int], words: np.ndarray,
+                  cols: Sequence[np.ndarray]) -> np.ndarray:
+    """``table["w1 w2 ..."]`` (0 when absent) as float64 at every
+    position of the aligned code columns ``cols`` over the batch
+    dictionary ``words``: the codes are packed into one int64 key, and
+    the model dict is read once per DISTINCT n-gram, then gathered."""
+    radices = [len(words)] * len(cols)
+    upk, inv = np.unique(pack_key(cols, radices), return_inverse=True)
+    grams = zip(*(words[d] for d in unpack_key(upk, radices)))
+    return np.array([table.get(" ".join(g), 0) for g in grams],
+                    dtype=np.float64)[inv]
 
 
 #: fixed-point quantum for model log-probs: 2^-20. Quantized logp values
@@ -70,10 +67,14 @@ def train_ngram_model(ds, text_column: str = "text",
     order-independent."""
     from nacc_form_validator_ray.stages.partition import grouped_agg_sum
 
-    partials = ds.map_batches(
-        lambda b: _batch_token_counts(b, text_column),
-        batch_format="pandas")
-    merged = grouped_agg_sum(partials, ["token"], ["count"],
+    def partials(batch):
+        return ngram_counts(arrow_token_codes(
+            batch_text(batch, text_column))).rename_columns(
+                ["token", "count"])
+
+    merged = grouped_agg_sum(ds.map_batches(partials,
+                                            batch_format="pyarrow"),
+                             ["token"], ["count"],
                              num_partitions=16).to_pandas()
     merged = merged.sort_values(["count", "token"],
                                 ascending=[False, True]).head(max_vocab)
@@ -171,8 +172,6 @@ class PerplexityScorer:
                                 count=len(model["logp"]))
 
     def _score(self, text_arr) -> Dict[str, np.ndarray]:
-        from nacc_form_validator_ray.stages.text_signals import \
-            arrow_token_codes
         n = len(text_arr)
         # byte-run tokenizer shared with TextStats: same token stream as
         # findall('[A-Za-z]+') on the lowered text, no Python strings in
@@ -238,49 +237,21 @@ def train_bigram_model(ds, text_column: str = "text",
                        max_entries: int = 2_000_000) -> Dict[str, Any]:
     """Distributed interpolated-bigram LM (the KenLM-direction upgrade
     of :func:`train_ngram_model`): per-batch unigram AND bigram count
-    partials (dictionary codes, packed int64 pairs, bincount — no
-    Python loop over tokens), one grouped-sum exchange each, small
-    JSON-able artifact on the driver. Bigrams span adjacent tokens
-    WITHIN a document (no BOS/EOS markers — documented simplification;
-    the first token of a document is scored by the unigram term alone).
+    partials (``text_signals.fused_ngram_counts`` — one tokenization,
+    both orders in one table with the ``w2 == ""`` sentinel on unigram
+    rows), one grouped-sum exchange, small JSON-able artifact on the
+    driver. Bigrams span adjacent tokens WITHIN a document (no BOS/EOS
+    markers — documented simplification; the first token of a document
+    is scored by the unigram term alone).
     """
-    import pyarrow as pa
-
     from nacc_form_validator_ray.stages.partition import grouped_agg_sum
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
 
-    def fused_partials(batch: pd.DataFrame) -> pd.DataFrame:
-        """ONE tokenization per batch emits BOTH count kinds through a
-        single exchange: unigram rows carry the ``w2 == ""`` sentinel
-        (tokens match [a-z]+, so the empty string cannot collide)."""
-        arr = pa.array(batch["text"].fillna(""), type=pa.string())
-        codes, dictionary, tok_doc, _ = arrow_token_codes(arr)
-        if dictionary is None:
-            return pd.DataFrame({"w1": pd.Series([], dtype=object),
-                                 "w2": pd.Series([], dtype=object),
-                                 "count": pd.Series([],
-                                                    dtype=np.int64)})
-        d = np.asarray(dictionary.to_pylist(), dtype=object)
-        ucounts = np.bincount(codes, minlength=len(d))
-        w1 = [d]
-        w2 = [np.full(len(d), "", dtype=object)]
-        cnt = [ucounts.astype(np.int64)]
-        if len(codes) >= 2:
-            same = tok_doc[1:] == tok_doc[:-1]
-            w1c = codes[:-1][same].astype(np.int64)
-            w2c = codes[1:][same].astype(np.int64)
-            packed, counts = np.unique(w1c * len(d) + w2c,
-                                       return_counts=True)
-            w1.append(d[(packed // len(d)).astype(np.int64)])
-            w2.append(d[(packed % len(d)).astype(np.int64)])
-            cnt.append(counts.astype(np.int64))
-        return pd.DataFrame({"w1": np.concatenate(w1),
-                             "w2": np.concatenate(w2),
-                             "count": np.concatenate(cnt)})
+    def fused_partials(batch):
+        return fused_ngram_counts(
+            arrow_token_codes(batch_text(batch, text_column)), 2)
 
     merged = grouped_agg_sum(
-        ds.map_batches(fused_partials, batch_format="pandas"),
+        ds.map_batches(fused_partials, batch_format="pyarrow"),
         ["w1", "w2"], ["count"],
         num_partitions=num_partitions).to_pandas()
     is_uni = merged["w2"] == ""
@@ -329,14 +300,12 @@ class BigramScorer:
         self.d_uni = self.T + self.kv1
 
     def _score(self, text_arr) -> Dict[str, np.ndarray]:
-        from nacc_form_validator_ray.stages.text_signals import \
-            arrow_token_codes
         n = len(text_arr)
         codes, dictionary, tok_doc, lens = arrow_token_codes(text_arr)
         log_ppl = np.zeros(n, dtype=np.float64)
         unseen = np.zeros(n, dtype=np.int64)
         if len(codes):
-            d = dictionary.to_pylist()
+            d = dictionary.to_numpy(zero_copy_only=False)
             cu_dict = np.array([self.uni.get(t, 0) for t in d],
                                dtype=np.float64)
             cu = cu_dict[codes]
@@ -351,12 +320,7 @@ class BigramScorer:
                 prev = np.empty(len(codes), dtype=np.int64)
                 prev[1:] = codes[:-1]
                 prev[0] = 0
-                packed = prev[rest] * len(d) + codes[rest]
-                upk, inv = np.unique(packed, return_inverse=True)
-                cbi_u = np.array(
-                    [self.bi.get(f"{d[p // len(d)]} {d[p % len(d)]}",
-                                 0) for p in upk], dtype=np.float64)
-                cbi = cbi_u[inv]
+                cbi = _ngram_lookup(self.bi, d, [prev[rest], codes[rest]])
                 cu_prev = cu_dict[prev[rest]]
                 mix = (0.5 * (cbi + self.k)) / (cu_prev + self.kv1) \
                     + (0.5 * (cu[rest] + self.k)) / self.d_uni
@@ -441,14 +405,12 @@ class KNScorer:
         self.den_cont = float(model["n_bigrams"]) + 0.5 * (V + 1)
 
     def _score(self, text_arr) -> Dict[str, np.ndarray]:
-        from nacc_form_validator_ray.stages.text_signals import \
-            arrow_token_codes
         n = len(text_arr)
         codes, dictionary, tok_doc, lens = arrow_token_codes(text_arr)
         log_ppl = np.zeros(n, dtype=np.float64)
         unseen = np.zeros(n, dtype=np.int64)
         if len(codes):
-            d = dictionary.to_pylist()
+            d = dictionary.to_numpy(zero_copy_only=False)
             pcont_d = (np.array([self.n1b.get(t, 0) for t in d],
                                 dtype=np.float64) + 0.5) / self.den_cont
             c1_d = np.array([self.ctx.get(t, 0) for t in d],
@@ -466,12 +428,7 @@ class KNScorer:
                 prev = np.empty(len(codes), dtype=np.int64)
                 prev[1:] = codes[:-1]
                 prev[0] = 0
-                packed = prev[rest] * len(d) + codes[rest]
-                upk, inv = np.unique(packed, return_inverse=True)
-                cbi = np.array(
-                    [self.bi.get(f"{d[p // len(d)]} {d[p % len(d)]}",
-                                 0) for p in upk],
-                    dtype=np.float64)[inv]
+                cbi = _ngram_lookup(self.bi, d, [prev[rest], codes[rest]])
                 c1 = c1_d[prev[rest]]
                 n1f = n1f_d[prev[rest]]
                 have_ctx = c1 > 0
@@ -510,60 +467,14 @@ def train_backoff_model(ds, text_column: str = "text",
     markers — same simplification as the bigram family: a document's
     first token scores on the unigram term, its second on the bigram
     backoff level)."""
-    import pyarrow as pa
-
     from nacc_form_validator_ray.stages.partition import grouped_agg_sum
-    from nacc_form_validator_ray.stages.text_signals import \
-        arrow_token_codes
 
-    def fused_partials(batch: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({"w1": pd.Series([], dtype=object),
-                              "w2": pd.Series([], dtype=object),
-                              "w3": pd.Series([], dtype=object),
-                              "count": pd.Series([], dtype=np.int64)})
-        arr = pa.array(batch["text"].fillna(""), type=pa.string())
-        codes, dictionary, tok_doc, _ = arrow_token_codes(arr)
-        if dictionary is None:
-            return empty
-        d = np.asarray(dictionary.to_pylist(), dtype=object)
-        D = np.int64(len(d))
-        # per-batch dictionaries are bounded by the batch's token count
-        # (~1e6 at the largest sane batch size), far under the 2^21
-        # packing bound for the cubic key below
-        assert D < (1 << 21), "per-batch dictionary too large to pack"
-        w1 = [d]
-        w2 = [np.full(len(d), "", dtype=object)]
-        w3 = [np.full(len(d), "", dtype=object)]
-        cnt = [np.bincount(codes, minlength=len(d)).astype(np.int64)]
-        if len(codes) >= 2:
-            same = tok_doc[1:] == tok_doc[:-1]
-            a = codes[:-1][same].astype(np.int64)
-            b = codes[1:][same].astype(np.int64)
-            packed, counts = np.unique(a * D + b, return_counts=True)
-            w1.append(d[(packed // D)])
-            w2.append(d[(packed % D)])
-            w3.append(np.full(len(packed), "", dtype=object))
-            cnt.append(counts.astype(np.int64))
-        if len(codes) >= 3:
-            same3 = (tok_doc[2:] == tok_doc[:-2]) \
-                & (tok_doc[1:-1] == tok_doc[:-2])
-            a = codes[:-2][same3].astype(np.int64)
-            b = codes[1:-1][same3].astype(np.int64)
-            c = codes[2:][same3].astype(np.int64)
-            if len(a):
-                packed, counts = np.unique((a * D + b) * D + c,
-                                           return_counts=True)
-                w1.append(d[(packed // (D * D))])
-                w2.append(d[((packed // D) % D)])
-                w3.append(d[(packed % D)])
-                cnt.append(counts.astype(np.int64))
-        return pd.DataFrame({"w1": np.concatenate(w1),
-                             "w2": np.concatenate(w2),
-                             "w3": np.concatenate(w3),
-                             "count": np.concatenate(cnt)})
+    def fused_partials(batch):
+        return fused_ngram_counts(
+            arrow_token_codes(batch_text(batch, text_column)), 3)
 
     merged = grouped_agg_sum(
-        ds.map_batches(fused_partials, batch_format="pandas"),
+        ds.map_batches(fused_partials, batch_format="pyarrow"),
         ["w1", "w2", "w3"], ["count"],
         num_partitions=num_partitions).to_pandas()
     is_uni = merged["w2"] == ""
@@ -623,14 +534,12 @@ class BackoffScorer:
         self.d_uni = self.T + self.k * (self.V + 1)
 
     def _score(self, text_arr) -> Dict[str, np.ndarray]:
-        from nacc_form_validator_ray.stages.text_signals import \
-            arrow_token_codes
         n = len(text_arr)
         codes, dictionary, tok_doc, lens = arrow_token_codes(text_arr)
         log_ppl = np.zeros(n, dtype=np.float64)
         unseen = np.zeros(n, dtype=np.int64)
         if len(codes):
-            d = dictionary.to_pylist()
+            d = dictionary.to_numpy(zero_copy_only=False)
             cu_dict = np.array([self.uni.get(t, 0) for t in d],
                                dtype=np.float64)
             cu = cu_dict[codes]
@@ -646,17 +555,7 @@ class BackoffScorer:
                 prev = np.empty(m, dtype=np.int64)
                 prev[1:] = codes[:-1]
                 prev[0] = 0
-
-                def _pair_counts(table, a_codes, b_codes):
-                    packed = a_codes * len(d) + b_codes
-                    upk, inv = np.unique(packed, return_inverse=True)
-                    vals = np.array(
-                        [table.get(
-                            f"{d[p // len(d)]} {d[p % len(d)]}", 0)
-                         for p in upk], dtype=np.float64)
-                    return vals[inv]
-
-                cbi = _pair_counts(self.bi, prev[rest], codes[rest])
+                cbi = _ngram_lookup(self.bi, d, [prev[rest], codes[rest]])
                 cu_prev = cu_dict[prev[rest]]
                 with np.errstate(divide="ignore", invalid="ignore"):
                     s2 = np.where(cbi > 0, cbi / cu_prev,
@@ -674,17 +573,9 @@ class BackoffScorer:
                     prev2[:2] = 0
                     p2 = prev2[third]
                     p1 = prev[third]
-                    cur = codes[third]
-                    packed3 = (p2 * len(d) + p1) * len(d) + cur
-                    upk3, inv3 = np.unique(packed3,
-                                           return_inverse=True)
-                    DD = len(d)
-                    ctri = np.array(
-                        [self.tri.get(
-                            f"{d[p // (DD * DD)]} "
-                            f"{d[(p // DD) % DD]} {d[p % DD]}", 0)
-                         for p in upk3], dtype=np.float64)[inv3]
-                    cb_ctx = _pair_counts(self.bi, p2, p1)
+                    ctri = _ngram_lookup(self.tri, d,
+                                         [p2, p1, codes[third]])
+                    cb_ctx = _ngram_lookup(self.bi, d, [p2, p1])
                     # s2 value AT the third-level positions: scatter
                     # the rest-indexed s2 back to token positions
                     s2_map = np.empty(m, dtype=np.float64)

@@ -12,7 +12,9 @@ output through :func:`with_columns`, the one place a ``pa.Table`` or a
 * n-gram repetition uses Arrow dictionary codes + bit-packed rolling
   keys + bincount — no Python loop over rows;
 * language ID is stopword-hit counting per language
-  (:func:`stopword_columns`), argmax with a fixed deterministic tie order.
+  (:func:`stopword_columns`), argmax with a fixed deterministic tie order;
+* the per-batch n-gram count partials of the LM/DSIR/BPE trainers and
+  the registry queries all come from :func:`ngram_counts`.
 
 Every signal is defined so an ANSI-SQL oracle can recompute it exactly
 (same regex dialect, same tie-breaks) — the driver's DuckDB correctness
@@ -21,6 +23,7 @@ gate relies on this.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -343,6 +346,107 @@ def arrow_token_codes(text, include_digits: bool = False, _pre=None):
     enc = pc.dictionary_encode(flat_tok)
     return (enc.indices.to_numpy().astype(np.int32), enc.dictionary,
             tok_doc, n_tokens)
+
+
+def pack_key(digits: Sequence[np.ndarray],
+             radices: Sequence[int]) -> np.ndarray:
+    """Mixed-radix int64 key of equal-length digit arrays (the first is
+    the most significant; ``0 <= digits[i] < radices[i]``). Raises a
+    ``ValueError`` when the key space (the radices' product) does not
+    fit in an int64."""
+    if math.prod(int(r) for r in radices) > 1 << 63:
+        raise ValueError(f"n-gram key space {list(radices)} does not fit "
+                         "in an int64; lower the batch size")
+    key = np.array(digits[0], dtype=np.int64)
+    for d, r in zip(digits[1:], radices[1:]):
+        key *= np.int64(r)
+        key += d
+    return key
+
+
+def unpack_key(key: np.ndarray, radices: Sequence[int]) -> List[np.ndarray]:
+    """The digit arrays of :func:`pack_key`'s keys, most significant
+    first."""
+    digits = []
+    for r in reversed(radices[1:]):
+        digits.append(key % np.int64(r))
+        key = key // np.int64(r)
+    digits.append(key)
+    return digits[::-1]
+
+
+def ngram_counts(tokens, n: int = 1, gap: int = 1, by=None):
+    """Counts of one batch's token n-grams — the one per-batch n-gram
+    counter behind the count partials merged by ``grouped_agg_sum`` /
+    ``grouped_apply``.
+
+    ``tokens`` is the batch's :func:`arrow_token_codes` result, so a
+    caller that needs several orders or keys tokenizes once. An n-gram
+    is the tokens at positions ``i, i+gap, ..., i+(n-1)*gap`` of ONE
+    document (``n=2, gap=d`` is a skip pair); none spans two documents.
+    ``by`` is an optional per-row Arrow column (e.g. source, lang or
+    doc id; nulls form their own key) that prefixes the key.
+
+    Returns a ``pa.Table`` of ``(by?, w1..wn, count:int64)`` with
+    nonzero counts only — a typed zero-row table when the batch has no
+    n-gram. (by, w1..wn) is packed into one mixed-radix int64 key
+    (:func:`pack_key`, which raises ``ValueError`` when the key space
+    overflows) and counted by ``bincount`` when the key space is small
+    against the n-gram count, else by ``np.unique``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    if not 1 <= n <= 3 or gap < 1:
+        raise ValueError(f"ngram_counts: need 1 <= n <= 3 and gap >= 1, "
+                         f"got n={n}, gap={gap}")
+    codes, dictionary, tok_doc, _ = tokens
+    words = pa.array([], pa.string()) if dictionary is None \
+        else dictionary
+    names = [f"w{j + 1}" for j in range(n)]
+    values = [words] * n
+    span = (n - 1) * gap
+    m = max(len(codes) - span, 0)
+    # tok_doc ascends, so equal first and last documents = one document
+    same = tok_doc[:m] == tok_doc[span:span + m] if span else slice(None)
+    digits = [codes[j * gap:j * gap + m][same] for j in range(n)]
+    radices = [len(words)] * n
+    if by is not None:
+        if isinstance(by, pa.ChunkedArray):
+            by = by.combine_chunks()
+        enc = pc.dictionary_encode(by, null_encoding="encode")
+        by_code = enc.indices.to_numpy(zero_copy_only=False)
+        names.insert(0, "by")
+        values.insert(0, enc.dictionary)
+        digits.insert(0, by_code[tok_doc[:m][same]])
+        radices.insert(0, len(enc.dictionary))
+    key = pack_key(digits, radices)
+    if math.prod(radices) <= max(4 * len(key), 1 << 16):
+        cnt = np.bincount(key)
+        uk = np.flatnonzero(cnt)
+        cnt = cnt[uk]
+    else:
+        uk, cnt = np.unique(key, return_counts=True)
+    cols = {name: vals.take(pa.array(d))
+            for name, vals, d in zip(names, values,
+                                     unpack_key(uk, radices))}
+    cols["count"] = pa.array(cnt.astype(np.int64, copy=False))
+    return pa.table(cols)
+
+
+def fused_ngram_counts(tokens, max_n: int):
+    """Orders 1..``max_n`` of :func:`ngram_counts` in ONE
+    ``(w1..w<max_n>, count)`` table: a lower order's unused word columns
+    hold the ``""`` sentinel (tokens match ``[a-z]+``, so it cannot
+    collide with a word), so one exchange merges every order."""
+    import pyarrow as pa
+    parts = []
+    for k in range(1, max_n + 1):
+        t = ngram_counts(tokens, k)
+        for j in range(k + 1, max_n + 1):
+            t = t.add_column(j - 1, f"w{j}",
+                             pa.repeat(pa.scalar("", pa.string()),
+                                       t.num_rows))
+        parts.append(t)
+    return pa.concat_tables(parts)
 
 
 def stopword_columns(codes: np.ndarray, dictionary, tok_doc: np.ndarray,

@@ -160,3 +160,45 @@ def test_kn_vs_duckdb_random():
     sql = con.sql(SQL_KN_PERPLEXITY_DOCS).df() \
         .sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(outs[0], sql, check_dtype=False)
+
+
+# ------------------------------------------------- text_column
+
+
+def _word_table(ds, text_column):
+    from nacc_form_validator_ray.stages.bpe import word_counts
+    out = word_counts(ds, text_column=text_column).to_pandas()
+    return out.sort_values("word").reset_index(drop=True).to_dict("list")
+
+
+def _importance(ds, text_column):
+    from nacc_form_validator_ray.stages.importance import \
+        train_importance_model
+    return train_importance_model(ds, text_column=text_column,
+                                  select_value="a")
+
+
+def _trainer(name):
+    from nacc_form_validator_ray.stages import perplexity
+    return getattr(perplexity, name)
+
+
+@pytest.mark.parametrize("train", [
+    _trainer("train_ngram_model"), _trainer("train_bigram_model"),
+    _trainer("train_kn_model"), _trainer("train_backoff_model"),
+    _importance, _word_table],
+    ids=["ngram", "bigram", "kn", "backoff", "importance",
+         "bpe_word_counts"])
+def test_trainers_read_their_text_column(train):
+    """Every trainer counts the column it is given: the same rows give
+    the same model under ``text`` and under ``body``."""
+    rows = pd.DataFrame({"source": ["a", "b", "a", "b"],
+                         "text": ["the cat sat on the mat",
+                                  "a dog ran far away", None,
+                                  "the dog sat"]})
+    under_text = train(rd.from_pandas(rows), text_column="text")
+    under_body = train(rd.from_pandas(rows.rename(columns={"text":
+                                                           "body"})),
+                       text_column="body")
+    assert under_body == under_text
+    assert under_text  # a model was trained at all
