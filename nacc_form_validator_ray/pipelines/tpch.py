@@ -1078,8 +1078,10 @@ def q2_min_cost_supplier(sf_dir: str):
     part = _rd().read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"],
         filter=(pads.field("p_type") == Q2_TYPE)
-        & (pads.field("p_size") <= Q2_MAX_SIZE)).to_arrow_refs()
-    part_tbl = pa.concat_tables(ray.get(part))
+        & (pads.field("p_size") <= Q2_MAX_SIZE))
+    part_tbl = pa.concat_tables(ray.get(
+        [r for b in part.iter_internal_ref_bundles()
+         for r in b.block_refs]) or [pa.table({})])
     if part_tbl.num_rows == 0 or "p_partkey" not in \
             part_tbl.column_names:
         # fully-pruned read can drop the schema with the rows
